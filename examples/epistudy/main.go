@@ -11,14 +11,13 @@ import (
 )
 
 func main() {
-	schemes := []string{"chipkill36", "chipkill18", "lotecc9", "multiecc", "lotecc5", "lotecc5+parity", "raim", "raim+parity"}
 	workloads := []string{"mcf", "streamcluster"}
 
 	fmt.Println("Quad-equivalent systems, 400K measured cycles, 8 cores")
 	fmt.Printf("%-10s %-30s %9s %9s %9s %7s %10s\n",
 		"workload", "scheme", "EPI(pJ)", "dyn(pJ)", "bg(pJ)", "IPC", "acc/kinstr")
 	for _, wl := range workloads {
-		for _, key := range schemes {
+		for _, key := range sim.PaperSchemes {
 			r := sim.Run(sim.DefaultConfig(key, sim.QuadEq, wl))
 			fmt.Printf("%-10s %-30s %9.0f %9.0f %9.0f %7.2f %10.1f\n",
 				wl, sim.SchemeByKey(key).Display, r.EPI, r.DynamicEPI, r.BackgroundEPI,

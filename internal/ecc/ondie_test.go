@@ -9,30 +9,14 @@ import (
 	"eccparity/internal/dram"
 )
 
-// TestRegistrySharing: the registry is built once — ByName and All hand
-// out the same shared instances on every call, and the containers they
-// return (map, name slice) are caller-owned copies.
+// TestRegistrySharing: the registry is built once — ByName hands out the
+// same shared instance on every call, and the name slice Names returns is
+// a caller-owned copy.
 func TestRegistrySharing(t *testing.T) {
 	for _, name := range Names() {
 		if ByName(name) != ByName(name) {
 			t.Errorf("ByName(%q) allocated a fresh scheme per call", name)
 		}
-	}
-	a, b := All(), All()
-	if len(a) != len(b) {
-		t.Fatalf("All() sizes differ: %d vs %d", len(a), len(b))
-	}
-	for k := range a {
-		if a[k] != b[k] {
-			t.Errorf("All()[%q] is not the shared instance", k)
-		}
-		if a[k] != ByName(k) {
-			t.Errorf("All()[%q] differs from ByName", k)
-		}
-	}
-	a["bogus"] = nil
-	if _, ok := All()["bogus"]; ok {
-		t.Error("mutating the map All() returned leaked into the registry")
 	}
 	names := Names()
 	names[0] = "mutated"
@@ -41,8 +25,9 @@ func TestRegistrySharing(t *testing.T) {
 	}
 }
 
-// TestRegistryEntries: Entries is sorted, complete, and documents the
-// passthrough option exactly on the on-die schemes.
+// TestRegistryEntries: Entries is sorted, complete, serves no engine-only
+// entry, and documents the passthrough option exactly on the on-die
+// schemes.
 func TestRegistryEntries(t *testing.T) {
 	entries := Entries()
 	if len(entries) != len(Names()) {
@@ -52,8 +37,8 @@ func TestRegistryEntries(t *testing.T) {
 		if e.Key != Names()[i] {
 			t.Errorf("entry %d: key %q out of order (want %q)", i, e.Key, Names()[i])
 		}
-		if e.Description == "" {
-			t.Errorf("entry %q: empty description", e.Key)
+		if e.Description == "" || e.Display == "" || e.EngineOnly {
+			t.Errorf("entry %q: description %q display %q engine-only %v", e.Key, e.Description, e.Display, e.EngineOnly)
 		}
 		wantOpts := strings.HasPrefix(e.Key, "ondie")
 		if gotOpts := len(e.Options) > 0; gotOpts != wantOpts {
@@ -105,7 +90,9 @@ func TestCanonicalOptions(t *testing.T) {
 }
 
 // TestBuild: the default configuration is the shared instance; a
-// parameterized build is fresh and carries the option.
+// parameterized build is a distinct instance carrying the option, interned
+// so that every build of the same configuration — however its options are
+// spelled — shares it.
 func TestBuild(t *testing.T) {
 	s, err := Build("ondie+raim18", "")
 	if err != nil {
@@ -124,6 +111,11 @@ func TestBuild(t *testing.T) {
 	}
 	if p == s {
 		t.Error("parameterized Build must not alias the shared default")
+	}
+	for _, opts := range []string{`{"passthrough":true}`, `{ "passthrough" : true }`} {
+		if again, err := Build("ondie+raim18", opts); err != nil || again != p {
+			t.Errorf("Build(%q) = (%p, %v), want the interned variant %p", opts, again, err, p)
+		}
 	}
 	if _, err := Build("chipkill36", `{"passthrough":true}`); err == nil {
 		t.Error("options on an optionless scheme accepted")

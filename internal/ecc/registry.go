@@ -1,12 +1,14 @@
 package ecc
 
-// The scheme registry: every base and cross-layer scheme this repository
-// evaluates, keyed by its serving name, as parameterized constructors
-// rather than a flat map of instances. The registry is built exactly once
-// (sync.Once) and the default instance of every scheme is shared — Scheme
-// implementations are immutable after construction and safe for concurrent
-// use — so ByName/Names on a hot path cost a map read and a slice copy,
-// not a fresh allocation of every codec's tables.
+// The scheme table: every resilience configuration this repository
+// evaluates, keyed by its serving name. An entry pairs a parameterized
+// codec constructor with the timing engine's view of the configuration —
+// the paper's display name, the ECC-maintenance traffic model and the
+// ECC-line coverage — so a configuration is written in exactly one row.
+// The table is built once (sync.Once); Build interns every constructed
+// instance per (key, options), and Scheme implementations are immutable
+// after construction and safe for concurrent use, so repeated lookups
+// share the codec tables instead of rebuilding them.
 
 import (
 	"bytes"
@@ -14,6 +16,26 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+)
+
+// TrafficModel selects the ECC-maintenance traffic flows the timing engine
+// models for a scheme (§IV-C).
+type TrafficModel int
+
+// Traffic models.
+const (
+	// TrafficInline: ECC bits live in the accessed rank; no extra requests
+	// (commercial chipkill, RAIM).
+	TrafficInline TrafficModel = iota
+	// TrafficECCLine: tiered schemes storing correction bits in separate
+	// memory lines, cached in the LLC; dirty-data evictions update the
+	// covering ECC line (fetch on miss, write on eviction) — LOT-ECC,
+	// Multi-ECC.
+	TrafficECCLine
+	// TrafficParity: the ECC Parity overlay; dirty-data evictions update
+	// an XOR cacheline (no fetch on miss — it is an accumulator), whose
+	// eviction costs a parity-line read plus write (§III-D / Fig. 7).
+	TrafficParity
 )
 
 // OptionSpec documents one constructor option of a registry entry, in the
@@ -35,16 +57,30 @@ type Options struct {
 	Passthrough bool `json:"passthrough,omitempty"`
 }
 
-// Entry describes one registered scheme.
+// Entry describes one evaluated configuration (a Table II row).
 type Entry struct {
 	// Key is the serving name (api scheme field, sweep axis value).
 	Key string
+	// Display is the configuration's name in the paper's tables and the
+	// report headers.
+	Display string
 	// Description is the one-line summary GET /v1/schemes serves.
 	Description string
 	// ChipKillCorrect reports whether the scheme corrects any single-chip
 	// failure — the capability the generic chip-kill tests gate on (the
 	// bare on-die rank cannot).
 	ChipKillCorrect bool
+	// Traffic is the ECC-maintenance traffic model of the timing engine.
+	Traffic TrafficModel
+	// LinesPerECCLine is the data-line coverage of one cached ECC line for
+	// TrafficECCLine schemes (4 for LOT-ECC5, 8 for LOT-ECC9, 16 for
+	// Multi-ECC's compacted T2EC).
+	LinesPerECCLine int
+	// EngineOnly marks a timing-engine configuration that runs another
+	// entry's codec under a different traffic model (the ECC Parity
+	// overlays). Names, Entries and GET /v1/schemes omit it, and
+	// codec-level experiments reject it.
+	EngineOnly bool
 	// Options lists the constructor options the entry accepts (empty for
 	// fixed schemes).
 	Options []OptionSpec
@@ -61,47 +97,81 @@ var passthroughOpt = []OptionSpec{{
 var (
 	regOnce    sync.Once
 	regEntries map[string]*Entry
-	regNames   []string          // sorted keys, shared — Names() copies
-	regShared  map[string]Scheme // default (zero-Options) instances
+	regNames   []string // sorted keys of the served (non-engine-only) entries
+
+	instMu    sync.Mutex
+	instances = map[instanceKey]Scheme{}
 )
+
+// instanceKey identifies one constructed scheme: decoded Options compare
+// equal exactly when their canonical encodings do.
+type instanceKey struct {
+	name string
+	o    Options
+}
 
 func buildRegistry() {
 	entries := []*Entry{
-		{Key: "chipkill36", Description: "36-device commercial chipkill correct (32+4 x4, 128B lines)",
+		{Key: "chipkill36", Display: "36-device commercial chipkill",
+			Description:     "36-device commercial chipkill correct (32+4 x4, 128B lines)",
 			ChipKillCorrect: true, build: func(Options) Scheme { return NewChipkill36() }},
-		{Key: "chipkill18", Description: "18-device commercial chipkill correct (16+2 x4, 64B lines)",
+		{Key: "chipkill18", Display: "18-device commercial chipkill",
+			Description:     "18-device commercial chipkill correct (16+2 x4, 64B lines)",
 			ChipKillCorrect: true, build: func(Options) Scheme { return NewChipkill18() }},
-		{Key: "doublechipkill", Description: "40-device double-chipkill correct (32+8 x4, 128B lines)",
+		{Key: "doublechipkill", Display: "Double chipkill",
+			Description:     "40-device double-chipkill correct (32+8 x4, 128B lines)",
 			ChipKillCorrect: true, build: func(Options) Scheme { return NewDoubleChipkill() }},
-		{Key: "lotecc5", Description: "LOT-ECC with 5 chips per rank (4 x16 + 1 x8, 64B lines)",
-			ChipKillCorrect: true, build: func(Options) Scheme { return NewLOTECC5() }},
-		{Key: "lotecc5rs", Description: "LOT-ECC5 variant with RS second-tier symbols",
-			ChipKillCorrect: true, build: func(Options) Scheme { return NewLOTECC5RS() }},
-		{Key: "lotecc9", Description: "LOT-ECC with 9 chips per rank (9 x8, 64B lines)",
-			ChipKillCorrect: true, build: func(Options) Scheme { return NewLOTECC9() }},
-		{Key: "multiecc", Description: "Multi-ECC (9 x8, 64B lines, compacted multi-line T2EC)",
-			ChipKillCorrect: true, build: func(Options) Scheme { return NewMultiECC() }},
-		{Key: "raim", Description: "IBM-style RAIM: DIMM-kill correct (45 x4 = 5 DIMMs, 128B lines)",
+		{Key: "lotecc5", Display: "LOT-ECC5",
+			Description:     "LOT-ECC with 5 chips per rank (4 x16 + 1 x8, 64B lines)",
+			ChipKillCorrect: true, Traffic: TrafficECCLine, LinesPerECCLine: 4,
+			build: func(Options) Scheme { return NewLOTECC5() }},
+		{Key: "lotecc5+parity", Display: "LOT-ECC5 + ECC Parity",
+			ChipKillCorrect: true, Traffic: TrafficParity, EngineOnly: true,
+			build: func(Options) Scheme { return NewLOTECC5() }},
+		{Key: "lotecc5rs", Display: "LOT-ECC5/RS",
+			Description:     "LOT-ECC5 variant with RS second-tier symbols",
+			ChipKillCorrect: true, Traffic: TrafficECCLine, LinesPerECCLine: 4,
+			build: func(Options) Scheme { return NewLOTECC5RS() }},
+		{Key: "lotecc9", Display: "LOT-ECC9",
+			Description:     "LOT-ECC with 9 chips per rank (9 x8, 64B lines)",
+			ChipKillCorrect: true, Traffic: TrafficECCLine, LinesPerECCLine: 8,
+			build: func(Options) Scheme { return NewLOTECC9() }},
+		{Key: "multiecc", Display: "Multi-ECC",
+			Description:     "Multi-ECC (9 x8, 64B lines, compacted multi-line T2EC)",
+			ChipKillCorrect: true, Traffic: TrafficECCLine, LinesPerECCLine: 16,
+			build: func(Options) Scheme { return NewMultiECC() }},
+		{Key: "raim", Display: "RAIM",
+			Description:     "IBM-style RAIM: DIMM-kill correct (45 x4 = 5 DIMMs, 128B lines)",
 			ChipKillCorrect: true, build: func(Options) Scheme { return NewRAIM() }},
-		{Key: "raim18", Description: "18-device RAIM rank with P/Q group parity (ECC Parity base)",
-			ChipKillCorrect: true, build: func(Options) Scheme { return NewRAIMParity() }},
-		{Key: "ondie-sec", Description: "bare on-die SEC: non-ECC 8 x8 rank, per-chip Hamming correction only",
-			Options: passthroughOpt,
-			build:   func(o Options) Scheme { return NewOnDieOnly(o.Passthrough) }},
-		{Key: "ondie+chipkill", Description: "cross-layer: per-chip on-die SEC under 36-device chipkill correct",
+		{Key: "raim+parity", Display: "RAIM + ECC Parity",
+			ChipKillCorrect: true, Traffic: TrafficParity, EngineOnly: true,
+			build: func(Options) Scheme { return NewRAIMParity() }},
+		// Standalone 18-device RAIM rank: the P/Q group parity lives in
+		// dedicated ECC lines (32B per 64B data line -> one ECC line covers
+		// two data lines) rather than the ECC Parity overlay.
+		{Key: "raim18", Display: "18-device RAIM",
+			Description:     "18-device RAIM rank with P/Q group parity (ECC Parity base)",
+			ChipKillCorrect: true, Traffic: TrafficECCLine, LinesPerECCLine: 2,
+			build: func(Options) Scheme { return NewRAIMParity() }},
+		{Key: "ondie-sec", Display: "On-die SEC (non-ECC rank)",
+			Description: "bare on-die SEC: non-ECC 8 x8 rank, per-chip Hamming correction only",
+			Options:     passthroughOpt,
+			build:       func(o Options) Scheme { return NewOnDieOnly(o.Passthrough) }},
+		{Key: "ondie+chipkill", Display: "On-die SEC + chipkill",
+			Description:     "cross-layer: per-chip on-die SEC under 36-device chipkill correct",
 			ChipKillCorrect: true, Options: passthroughOpt,
 			build: func(o Options) Scheme { return NewOnDie(NewChipkill36(), o.Passthrough) }},
-		{Key: "ondie+raim18", Description: "cross-layer: per-chip on-die SEC under the 18-device RAIM rank",
-			ChipKillCorrect: true, Options: passthroughOpt,
+		{Key: "ondie+raim18", Display: "On-die SEC + RAIM18 + ECC Parity",
+			Description:     "cross-layer: per-chip on-die SEC under the 18-device RAIM rank",
+			ChipKillCorrect: true, Traffic: TrafficParity, Options: passthroughOpt,
 			build: func(o Options) Scheme { return NewOnDie(NewRAIMParity(), o.Passthrough) }},
 	}
 	regEntries = make(map[string]*Entry, len(entries))
-	regShared = make(map[string]Scheme, len(entries))
-	regNames = make([]string, 0, len(entries))
 	for _, e := range entries {
 		regEntries[e.Key] = e
-		regShared[e.Key] = e.build(Options{})
-		regNames = append(regNames, e.Key)
+		if !e.EngineOnly {
+			regNames = append(regNames, e.Key)
+		}
 	}
 	sort.Strings(regNames)
 }
@@ -111,20 +181,9 @@ func reg() map[string]*Entry {
 	return regEntries
 }
 
-// All returns one shared instance of every registered scheme, keyed by
-// name. The map is the caller's to modify; the Scheme instances inside are
-// shared, immutable after construction, and safe for concurrent use.
-func All() map[string]Scheme {
-	reg()
-	out := make(map[string]Scheme, len(regShared))
-	for k, v := range regShared {
-		out[k] = v
-	}
-	return out
-}
-
-// Names returns the registry keys in deterministic (sorted) order. The
-// slice is a copy; the underlying registry is built once per process.
+// Names returns the served registry keys in deterministic (sorted) order,
+// engine-only entries excluded. The slice is a copy; the underlying
+// registry is built once per process.
 func Names() []string {
 	reg()
 	return append([]string(nil), regNames...)
@@ -133,17 +192,11 @@ func Names() []string {
 // ByName returns the shared default instance of the scheme registered
 // under name, or nil.
 func ByName(name string) Scheme {
-	reg()
-	return regShared[name]
+	s, _ := Build(name, "") // the only possible error is an unknown name
+	return s
 }
 
-// Known reports whether name is a registered scheme key.
-func Known(name string) bool {
-	_, ok := reg()[name]
-	return ok
-}
-
-// Info returns the registry entry for a key.
+// Info returns the table entry for a key, engine-only entries included.
 func Info(name string) (Entry, bool) {
 	e, ok := reg()[name]
 	if !ok {
@@ -152,7 +205,7 @@ func Info(name string) (Entry, bool) {
 	return *e, true
 }
 
-// Entries returns every registry entry in key order, for GET /v1/schemes.
+// Entries returns every served entry in key order, for GET /v1/schemes.
 func Entries() []Entry {
 	reg()
 	out := make([]Entry, 0, len(regNames))
@@ -207,9 +260,10 @@ func CanonicalOptions(name string, raw []byte) (string, error) {
 	return string(b), nil
 }
 
-// Build constructs a scheme from its key and a canonical-or-raw options
-// payload. The default configuration ("" options) returns the shared
-// instance; parameterized variants are constructed fresh (callers cache).
+// Build returns the scheme registered under name, configured by a
+// canonical-or-raw options payload. Every (name, options) configuration
+// is constructed once per process and interned, so repeated builds of a
+// parameterized variant share one instance and its codec tables.
 func Build(name, options string) (Scheme, error) {
 	e, ok := reg()[name]
 	if !ok {
@@ -219,8 +273,13 @@ func Build(name, options string) (Scheme, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o == (Options{}) {
-		return regShared[name], nil
+	k := instanceKey{name: name, o: o}
+	instMu.Lock()
+	defer instMu.Unlock()
+	s, ok := instances[k]
+	if !ok {
+		s = e.build(o)
+		instances[k] = s
 	}
-	return e.build(o), nil
+	return s, nil
 }

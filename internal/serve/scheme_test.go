@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"eccparity/internal/ecc"
 	"eccparity/internal/resultcache"
 	"eccparity/internal/sim/report"
 	"eccparity/pkg/api"
@@ -55,8 +54,8 @@ func TestPreSchemeHashCompat(t *testing.T) {
 	}
 }
 
-// TestSchemesEndpoint: GET /v1/schemes serves the full registry in key
-// order, and GET /v1/experiments marks which experiments take a scheme.
+// TestSchemesEndpoint: GET /v1/schemes serves the twelve codec-level
+// registry entries in key order — never the engine-only overlays — and GET /v1/experiments marks which experiments take a scheme.
 func TestSchemesEndpoint(t *testing.T) {
 	_, ts := newServer(t, Options{Workers: 1})
 	c := api.NewClient(ts.URL)
@@ -65,7 +64,8 @@ func TestSchemesEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ecc.Names()
+	want := []string{"chipkill18", "chipkill36", "doublechipkill", "lotecc5", "lotecc5rs", "lotecc9",
+		"multiecc", "ondie+chipkill", "ondie+raim18", "ondie-sec", "raim", "raim18"}
 	if len(schemes) != len(want) {
 		t.Fatalf("got %d schemes, want %d", len(schemes), len(want))
 	}

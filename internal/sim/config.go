@@ -7,8 +7,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"eccparity/internal/dram"
@@ -35,34 +33,16 @@ func (c SystemClass) String() string {
 	return "quad-equivalent"
 }
 
-// TrafficModel selects the ECC-maintenance traffic flows of a scheme.
-type TrafficModel int
-
-// Traffic models.
-const (
-	// TrafficInline: ECC bits live in the accessed rank; no extra requests
-	// (commercial chipkill, RAIM).
-	TrafficInline TrafficModel = iota
-	// TrafficECCLine: tiered schemes storing correction bits in separate
-	// memory lines, cached in the LLC; dirty-data evictions update the
-	// covering ECC line (fetch on miss, write on eviction) — LOT-ECC,
-	// Multi-ECC.
-	TrafficECCLine
-	// TrafficParity: the ECC Parity overlay; dirty-data evictions update
-	// an XOR cacheline (no fetch on miss — it is an accumulator), whose
-	// eviction costs a parity-line read plus write (§III-D / Fig. 7).
-	TrafficParity
-)
-
-// SchemeConfig is one evaluated resilience configuration (a Table II row).
+// SchemeConfig is one evaluated resilience configuration (a Table II
+// row): the engine's view of its ecc table entry plus the codec instance
+// it drives.
 type SchemeConfig struct {
 	Key     string
 	Display string
 	Base    ecc.Scheme
-	Traffic TrafficModel
-	// LinesPerECCLine is the data-line coverage of one cached ECC line for
-	// TrafficECCLine schemes (4 for LOT-ECC5, 8 for LOT-ECC9, 16 for
-	// Multi-ECC's compacted T2EC).
+	Traffic ecc.TrafficModel
+	// LinesPerECCLine is the data-line coverage of one cached ECC line
+	// (ecc.Entry.LinesPerECCLine).
 	LinesPerECCLine int
 	// OnDieOverhead is the in-array check-bit fraction of schemes with a
 	// per-chip on-die code; buildMemConfig scales the chips' dynamic
@@ -79,18 +59,15 @@ func (s SchemeConfig) Channels(class SystemClass) int {
 	return g.ChannelsQuadEq
 }
 
-// The shared immutable tier of the engine: scheme configurations (whose
-// ecc.Scheme instances carry the precomputed GF/RS product tables),
-// per-(scheme, class) controller-config prototypes, and address mappers
-// (pow2 shift tables) are built once per process and shared read-only
-// across every engine, so a sweep pays the table wiring once instead of
+// The shared immutable tier of the engine: per-(scheme, class)
+// controller-config prototypes and address mappers (pow2 shift tables)
+// are built once per process and shared read-only across every engine, as
+// are the ecc.Scheme instances ecc.Build interns (with their precomputed
+// GF/RS product tables), so a sweep pays the table wiring once instead of
 // per run. Everything reachable from these caches is treated as immutable
 // after construction — engines copy before mutating (see the arena's
 // speed-bin path).
 var (
-	schemesOnce   sync.Once
-	schemesShared map[string]SchemeConfig
-
 	memCfgMu     sync.Mutex
 	memCfgShared = map[memCfgKey]mem.Config{}
 
@@ -108,187 +85,40 @@ type mapperKey struct {
 	rowFriendly                  bool
 }
 
-// schemes returns the process-wide scheme table. Callers must not mutate
-// the map or anything reachable from it.
-func schemes() map[string]SchemeConfig {
-	schemesOnce.Do(func() { schemesShared = buildSchemes() })
-	return schemesShared
-}
-
-// Schemes returns every evaluated configuration keyed as in the paper. The
-// returned map is the caller's to modify; the ecc.Scheme instances inside
-// are shared, immutable after construction, and safe for concurrent use.
-func Schemes() map[string]SchemeConfig {
-	shared := schemes()
-	out := make(map[string]SchemeConfig, len(shared))
-	for k, v := range shared {
-		out[k] = v
-	}
-	return out
-}
-
-func buildSchemes() map[string]SchemeConfig {
-	onDieSec := ecc.NewOnDieOnly(false)
-	onDieCk := ecc.NewOnDie(ecc.NewChipkill36(), false)
-	onDieRaim := ecc.NewOnDie(ecc.NewRAIMParity(), false)
-	return map[string]SchemeConfig{
-		"chipkill36": {
-			Key: "chipkill36", Display: "36-device commercial chipkill",
-			Base: ecc.NewChipkill36(), Traffic: TrafficInline,
-		},
-		"chipkill18": {
-			Key: "chipkill18", Display: "18-device commercial chipkill",
-			Base: ecc.NewChipkill18(), Traffic: TrafficInline,
-		},
-		"lotecc5": {
-			Key: "lotecc5", Display: "LOT-ECC5",
-			Base: ecc.NewLOTECC5(), Traffic: TrafficECCLine, LinesPerECCLine: 4,
-		},
-		"lotecc9": {
-			Key: "lotecc9", Display: "LOT-ECC9",
-			Base: ecc.NewLOTECC9(), Traffic: TrafficECCLine, LinesPerECCLine: 8,
-		},
-		"multiecc": {
-			Key: "multiecc", Display: "Multi-ECC",
-			Base: ecc.NewMultiECC(), Traffic: TrafficECCLine, LinesPerECCLine: 16,
-		},
-		"lotecc5+parity": {
-			Key: "lotecc5+parity", Display: "LOT-ECC5 + ECC Parity",
-			Base: ecc.NewLOTECC5(), Traffic: TrafficParity,
-		},
-		"raim": {
-			Key: "raim", Display: "RAIM",
-			Base: ecc.NewRAIM(), Traffic: TrafficInline,
-		},
-		"raim+parity": {
-			Key: "raim+parity", Display: "RAIM + ECC Parity",
-			Base: ecc.NewRAIMParity(), Traffic: TrafficParity,
-		},
-		"doublechipkill": {
-			Key: "doublechipkill", Display: "Double chipkill",
-			Base: ecc.NewDoubleChipkill(), Traffic: TrafficInline,
-		},
-		"lotecc5rs": {
-			Key: "lotecc5rs", Display: "LOT-ECC5/RS",
-			Base: ecc.NewLOTECC5RS(), Traffic: TrafficECCLine, LinesPerECCLine: 4,
-		},
-		"raim18": {
-			// Standalone 18-device RAIM rank: the P/Q group parity lives in
-			// dedicated ECC lines (32B per 64B data line -> one ECC line
-			// covers two data lines) rather than the ECC Parity overlay.
-			Key: "raim18", Display: "18-device RAIM",
-			Base: ecc.NewRAIMParity(), Traffic: TrafficECCLine, LinesPerECCLine: 2,
-		},
-		"ondie-sec": {
-			Key: "ondie-sec", Display: "On-die SEC (non-ECC rank)",
-			Base: onDieSec, Traffic: TrafficInline,
-			OnDieOverhead: onDieSec.OnDieOverhead(),
-		},
-		"ondie+chipkill": {
-			Key: "ondie+chipkill", Display: "On-die SEC + chipkill",
-			Base: onDieCk, Traffic: TrafficInline,
-			OnDieOverhead: onDieCk.OnDieOverhead(),
-		},
-		"ondie+raim18": {
-			Key: "ondie+raim18", Display: "On-die SEC + RAIM18 + ECC Parity",
-			Base: onDieRaim, Traffic: TrafficParity,
-			OnDieOverhead: onDieRaim.OnDieOverhead(),
-		},
-	}
-}
-
-// KnownScheme reports whether key names a registered evaluated
-// configuration (parameterized variants resolve through SchemeVariant).
-func KnownScheme(key string) bool {
-	_, ok := schemes()[key]
-	return ok
-}
-
-// SchemeKeys returns every evaluated configuration key in sorted order.
-func SchemeKeys() []string {
-	shared := schemes()
-	keys := make([]string, 0, len(shared))
-	for k := range shared {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Parameterized scheme variants: (registry key, canonical options) pairs
-// interned once per process, so repeated experiment submissions with the
-// same options share the constructed codec tables and the memConfig
-// prototype cache stays coherent (each variant gets a distinct Key).
-var (
-	variantMu     sync.Mutex
-	variantShared = map[variantKey]SchemeConfig{}
-)
-
-type variantKey struct {
-	scheme, options string
-}
-
-// SchemeVariant resolves a scheme key plus canonical constructor options
+// SchemeVariant resolves a scheme key plus constructor options
 // (ecc.CanonicalOptions form; "" means defaults) to an evaluated
-// configuration. Defaults resolve to the shared registry entry; non-default
-// options intern a variant whose Key carries the options string.
+// configuration built from the key's ecc table entry. The codec instance
+// comes from ecc.Build, which interns it per (key, options); a
+// non-default variant's Key and Display carry the options string, so the
+// memConfig prototype cache keeps one entry per variant.
 func SchemeVariant(key, options string) (SchemeConfig, error) {
-	if options == "" {
-		sc, ok := schemes()[key]
-		if !ok {
-			return SchemeConfig{}, &ConfigError{Field: "scheme", Reason: fmt.Sprintf("unknown scheme %q", key)}
-		}
-		return sc, nil
-	}
-	base, ok := schemes()[key]
+	e, ok := ecc.Info(key)
 	if !ok {
 		return SchemeConfig{}, &ConfigError{Field: "scheme", Reason: fmt.Sprintf("unknown scheme %q", key)}
-	}
-	vk := variantKey{scheme: key, options: options}
-	variantMu.Lock()
-	defer variantMu.Unlock()
-	if sc, ok := variantShared[vk]; ok {
-		return sc, nil
 	}
 	s, err := ecc.Build(key, options)
 	if err != nil {
 		return SchemeConfig{}, &ConfigError{Field: "scheme_options", Reason: err.Error()}
 	}
-	sc := base
-	sc.Key = key + "?" + options
-	sc.Display = base.Display + " " + options
-	sc.Base = s
+	sc := SchemeConfig{Key: e.Key, Display: e.Display, Base: s, Traffic: e.Traffic, LinesPerECCLine: e.LinesPerECCLine}
 	if od, ok := s.(interface{ OnDieOverhead() float64 }); ok {
 		sc.OnDieOverhead = od.OnDieOverhead()
 	}
-	variantShared[vk] = sc
+	if options != "" {
+		sc.Key += "?" + options
+		sc.Display += " " + options
+	}
 	return sc, nil
 }
 
-// SchemeByKey fetches a configuration; it panics on unknown keys (keys are
-// compile-time constants throughout this repository, or variant keys
-// already interned by SchemeVariant).
+// SchemeByKey fetches a default configuration; it panics on unknown keys
+// (keys are compile-time constants throughout this repository).
 func SchemeByKey(key string) SchemeConfig {
-	if s, ok := schemes()[key]; ok {
-		return s
+	sc, err := SchemeVariant(key, "")
+	if err != nil {
+		panic(fmt.Sprintf("sim: unknown scheme %q", key))
 	}
-	if s, ok := lookupVariant(key); ok {
-		return s
-	}
-	panic(fmt.Sprintf("sim: unknown scheme %q", key))
-}
-
-// lookupVariant resolves a "key?options" variant key interned earlier by
-// SchemeVariant.
-func lookupVariant(key string) (SchemeConfig, bool) {
-	i := strings.Index(key, "?")
-	if i < 0 {
-		return SchemeConfig{}, false
-	}
-	variantMu.Lock()
-	defer variantMu.Unlock()
-	sc, ok := variantShared[variantKey{scheme: key[:i], options: key[i+1:]}]
-	return sc, ok
+	return sc
 }
 
 // memConfig returns the controller configuration of a scheme in a class

@@ -16,9 +16,12 @@ import (
 // This file contains the experiment runners, one per table/figure of the
 // paper's evaluation (see DESIGN.md §4 for the index).
 
-// ParityScheme and RAIMParityScheme are the two ECC-Parity configurations;
-// Baselines lists what each is compared against in Figs. 10–17.
+// PaperSchemes lists the paper's evaluated configurations in Table II
+// order: the default scheme set of the evaluation matrix. ParityBaselines
+// and RAIMBaselines list what the two ECC Parity configurations are
+// compared against in Figs. 10–17.
 var (
+	PaperSchemes    = []string{"chipkill36", "chipkill18", "lotecc5", "lotecc9", "multiecc", "lotecc5+parity", "raim", "raim+parity"}
 	ParityBaselines = []string{"chipkill36", "chipkill18", "lotecc9", "multiecc", "lotecc5"}
 	RAIMBaselines   = []string{"raim"}
 )
@@ -61,8 +64,8 @@ type Evaluation struct {
 }
 
 // NewEvaluation runs the matrix for the given schemes and workloads; nil
-// slices mean "all". It is the uninterruptible form of EvaluationContext;
-// prefer New(...).Evaluate for new code.
+// slices mean PaperSchemes and all workloads. It is the uninterruptible
+// form of EvaluationContext; prefer New(...).Evaluate for new code.
 func NewEvaluation(class SystemClass, schemeKeys, workloads []string, opts ...Option) *Evaluation {
 	ev, err := EvaluationContext(context.Background(), class, schemeKeys, workloads, opts...)
 	if err != nil {
@@ -72,28 +75,42 @@ func NewEvaluation(class SystemClass, schemeKeys, workloads []string, opts ...Op
 }
 
 // EvaluationContext runs the (scheme × workload) matrix with cancellation;
-// nil slices mean "all". The cells are independent simulations, so they fan
-// out over a bounded worker pool (WithWorkers; default NumCPU) — each
-// cell's randomness derives only from its own Config, so a completed matrix
-// is bit-identical at any worker count. Canceling ctx interrupts the
-// in-flight cells at the engine's checkpoint interval and returns ctx's
-// error; the partial matrix is discarded.
+// nil schemeKeys mean PaperSchemes and nil workloads mean all. The cells
+// are independent simulations, so they fan out over a bounded worker pool
+// (WithWorkers; default NumCPU) — each cell's randomness derives only from
+// its own Config, so a completed matrix is bit-identical at any worker
+// count. Canceling ctx interrupts the in-flight cells at the engine's
+// checkpoint interval and returns ctx's error; the partial matrix is
+// discarded.
 func EvaluationContext(ctx context.Context, class SystemClass, schemeKeys, workloads []string, opts ...Option) (*Evaluation, error) {
 	if schemeKeys == nil {
-		schemeKeys = []string{"chipkill36", "chipkill18", "lotecc9", "multiecc", "lotecc5", "lotecc5+parity", "raim", "raim+parity"}
+		schemeKeys = PaperSchemes
 	}
+	schemes := make([]SchemeConfig, len(schemeKeys))
+	for i, k := range schemeKeys {
+		schemes[i] = SchemeByKey(k)
+	}
+	return evaluate(ctx, class, schemes, workloads, opts)
+}
+
+// evaluate runs the matrix over resolved configurations, keying results by
+// each configuration's Key; nil workloads mean all.
+func evaluate(ctx context.Context, class SystemClass, schemes []SchemeConfig, workloads []string, opts []Option) (*Evaluation, error) {
 	if workloads == nil {
 		workloads = workload.Names()
 	}
-	type cell struct{ scheme, wl string }
-	cells := make([]cell, 0, len(schemeKeys)*len(workloads))
-	for _, sk := range schemeKeys {
+	type cell struct {
+		scheme SchemeConfig
+		wl     string
+	}
+	cells := make([]cell, 0, len(schemes)*len(workloads))
+	for _, sc := range schemes {
 		for _, wl := range workloads {
-			cells = append(cells, cell{sk, wl})
+			cells = append(cells, cell{sc, wl})
 		}
 	}
 	cfgFor := func(c cell) Config {
-		cfg := DefaultConfig(c.scheme, class, c.wl)
+		cfg := cellConfig(c.scheme, class, c.wl)
 		for _, o := range opts {
 			o(&cfg)
 		}
@@ -117,10 +134,10 @@ func EvaluationContext(ctx context.Context, class SystemClass, schemeKeys, workl
 		return nil, err
 	}
 	for i, c := range cells {
-		if ev.Results[c.scheme] == nil {
-			ev.Results[c.scheme] = map[string]Result{}
+		if ev.Results[c.scheme.Key] == nil {
+			ev.Results[c.scheme.Key] = map[string]Result{}
 		}
-		ev.Results[c.scheme][c.wl] = results[i]
+		ev.Results[c.scheme.Key][c.wl] = results[i]
 	}
 	return ev, nil
 }
@@ -379,19 +396,20 @@ func Table3CapacityContext(ctx context.Context, mcTrials int, seed int64, worker
 		}
 		return res.MeanFraction
 	}
-	lot5 := ecc.R(ecc.NewLOTECC5())
-	raimR := ecc.R(ecc.NewRAIMParity())
+	overhead := func(key string) float64 { return ecc.ByName(key).Overheads().Total() }
+	lot5 := ecc.R(ecc.ByName("lotecc5"))
+	raimR := ecc.R(ecc.ByName("raim18"))
 	rows := []Table3Row{
-		{Config: "36-device commercial chipkill correct", Overhead: ecc.NewChipkill36().Overheads().Total()},
-		{Config: "18-device commercial chipkill correct", Overhead: ecc.NewChipkill18().Overheads().Total()},
-		{Config: "LOT-ECC9", Overhead: ecc.NewLOTECC9().Overheads().Total()},
-		{Config: "Multi-ECC", Overhead: ecc.NewMultiECC().Overheads().Total()},
-		{Config: "LOT-ECC5", Overhead: ecc.NewLOTECC5().Overheads().Total()},
+		{Config: "36-device commercial chipkill correct", Overhead: overhead("chipkill36")},
+		{Config: "18-device commercial chipkill correct", Overhead: overhead("chipkill18")},
+		{Config: "LOT-ECC9", Overhead: overhead("lotecc9")},
+		{Config: "Multi-ECC", Overhead: overhead("multiecc")},
+		{Config: "LOT-ECC5", Overhead: overhead("lotecc5")},
 		{Config: "8 chan LOT-ECC5 + ECC Parity", Overhead: core.StaticOverhead(lot5, 8),
 			EOL: core.EOLOverhead(lot5, 8, frac(8))},
 		{Config: "4 chan LOT-ECC5 + ECC Parity", Overhead: core.StaticOverhead(lot5, 4),
 			EOL: core.EOLOverhead(lot5, 4, frac(4))},
-		{Config: "RAIM", Overhead: ecc.NewRAIM().Overheads().Total()},
+		{Config: "RAIM", Overhead: overhead("raim")},
 		{Config: "10 chan RAIM + ECC Parity", Overhead: core.StaticOverhead(raimR, 10),
 			EOL: core.EOLOverhead(raimR, 10, frac(10))},
 		{Config: "5 chan RAIM + ECC Parity", Overhead: core.StaticOverhead(raimR, 5),

@@ -82,15 +82,15 @@ func MixedRankAnalysis(cfg MixedRankConfig) MixedRankResult {
 	capMixed := float64(cfg.WideRanks)*1 + float64(cfg.NarrowRanks)*4
 	capAllNarrow := float64(slots) * 4
 
-	r := ecc.R(ecc.NewLOTECC5())
+	lot5 := ecc.ByName("lotecc5")
 	return MixedRankResult{
 		WideAccess:            eWide,
 		NarrowAccess:          eNarrow,
 		Blended:               blended,
 		BlendedVsAllNarrow:    blended / eNarrow,
 		RelativeCapacity:      capMixed / capAllNarrow,
-		OverheadWithParity:    core.StaticOverhead(r, cfg.Channels),
-		OverheadWithoutParity: ecc.NewLOTECC5().Overheads().Total(),
+		OverheadWithParity:    core.StaticOverhead(ecc.R(lot5), cfg.Channels),
+		OverheadWithoutParity: lot5.Overheads().Total(),
 	}
 }
 

@@ -71,13 +71,18 @@ func (s *Sim) Run(ctx context.Context) (Result, error) {
 }
 
 // Evaluate runs the (scheme × workload) matrix for a system class with the
-// Sim's options; nil slices mean "all". Cells fan out over the worker pool
-// (WithWorkers) with worker-count-invariant results; canceling ctx
-// interrupts the in-flight cells at the engine's checkpoint interval. A
-// cell selected with WithCell is ignored here — the grid enumerates its own
-// cells.
-func (s *Sim) Evaluate(ctx context.Context, class SystemClass, schemeKeys, workloads []string) (*Evaluation, error) {
-	return EvaluationContext(ctx, class, schemeKeys, workloads, s.opts...)
+// Sim's options; nil schemes mean PaperSchemes and nil workloads mean all.
+// Results are keyed by each configuration's Key, so a parameterized
+// variant from SchemeVariant runs like any table entry. Cells fan out over
+// the worker pool (WithWorkers) with worker-count-invariant results;
+// canceling ctx interrupts the in-flight cells at the engine's checkpoint
+// interval. A cell selected with WithCell is ignored here — the grid
+// enumerates its own cells.
+func (s *Sim) Evaluate(ctx context.Context, class SystemClass, schemes []SchemeConfig, workloads []string) (*Evaluation, error) {
+	if schemes == nil {
+		return EvaluationContext(ctx, class, nil, workloads, s.opts...)
+	}
+	return evaluate(ctx, class, schemes, workloads, s.opts)
 }
 
 // WithCell selects the single (scheme, class, workload) cell that Run
@@ -85,8 +90,8 @@ func (s *Sim) Evaluate(ctx context.Context, class SystemClass, schemeKeys, workl
 // from New instead of a panic.
 func WithCell(schemeKey string, class SystemClass, workloadName string) Option {
 	return func(c *Config) {
-		sc, ok := Schemes()[schemeKey]
-		if !ok {
+		sc, err := SchemeVariant(schemeKey, "")
+		if err != nil {
 			c.optErr = &ConfigError{Field: "Scheme", Reason: fmt.Sprintf("unknown scheme key %q", schemeKey)}
 			return
 		}

@@ -41,9 +41,9 @@ var registry = map[string]spec{
 	"fig8":       {source: "faultmc", title: "Fig. 8 — EOL fraction with materialized correction bits", run: fig8},
 	"fig18":      {source: "faultmc", title: "Fig. 18 — P(multi-channel faults within one scrub window)", run: fig18},
 	"schemeeval": {source: "serve", title: "Scheme evaluation — per-workload IPC/EPI/bandwidth for one configuration", run: schemeEval,
-		schemeAware: true, defaultScheme: "ondie+chipkill", engineDomain: true},
+		defaultScheme: "ondie+chipkill"},
 	"faultinject": {source: "serve", title: "Fault injection — codeword-level Monte Carlo outcomes for one scheme", run: faultInject,
-		schemeAware: true, defaultScheme: "ondie+chipkill"},
+		defaultScheme: "ondie+chipkill", codecLevel: true},
 	"harpprofile": {source: "serve", title: "HARP profiling — at-risk bit coverage, on-die ECC active vs bypassed", run: harpProfile},
 }
 
@@ -94,7 +94,7 @@ func table2(r *Runner, w io.Writer) (any, error) {
 	header(w, "Table II — evaluated ECC configurations")
 	fmt.Fprintf(w, "%-32s %-14s %5s %10s %9s %9s\n", "", "Rank", "Line", "Ranks/Chan", "Channels", "I/O pins")
 	rows := []Table2Row{}
-	for _, key := range []string{"chipkill36", "chipkill18", "lotecc5", "lotecc9", "multiecc", "lotecc5+parity", "raim", "raim+parity"} {
+	for _, key := range sim.PaperSchemes {
 		sc := sim.SchemeByKey(key)
 		g := sc.Base.Geometry()
 		fmt.Fprintf(w, "%-32s %-14s %4dB %10d %5d,%3d %5d,%4d\n",

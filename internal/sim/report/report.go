@@ -172,14 +172,12 @@ type spec struct {
 	source string // "eccsim", "faultmc" or "serve": which front end owns the id
 	title  string
 	run    func(r *Runner, w io.Writer) (any, error)
-	// schemeAware experiments honour Params.Scheme/SchemeOptions;
-	// defaultScheme is what an empty Params.Scheme resolves to, and
-	// engineDomain additionally admits engine-only configurations
-	// (sim.Schemes keys with no ecc registry entry, e.g. the parity
-	// overlays).
-	schemeAware   bool
+	// A non-empty defaultScheme makes the experiment scheme-aware: it
+	// honours Params.Scheme/SchemeOptions, and an empty Params.Scheme
+	// resolves to defaultScheme. codecLevel experiments drive the codec
+	// itself and reject engine-only table entries (ecc.Entry.EngineOnly).
 	defaultScheme string
-	engineDomain  bool
+	codecLevel    bool
 }
 
 // Run executes one experiment id and returns its Report. It cannot be

@@ -10,11 +10,10 @@ import (
 	"fmt"
 
 	"eccparity/internal/ecc"
-	"eccparity/internal/sim"
 )
 
 // SchemeAware reports whether the experiment honours Params.Scheme.
-func SchemeAware(id string) bool { return registry[id].schemeAware }
+func SchemeAware(id string) bool { return registry[id].defaultScheme != "" }
 
 // DefaultScheme returns what an empty Params.Scheme resolves to for a
 // scheme-aware experiment ("" for unknown or scheme-blind ids).
@@ -23,9 +22,9 @@ func DefaultScheme(id string) string { return registry[id].defaultScheme }
 // NormalizedFor resolves p to the canonical identity the result cache
 // hashes for experiment id: the plain Normalized knobs plus canonicalized
 // scheme fields. Scheme fields on a scheme-blind experiment are an error;
-// on a scheme-aware one the scheme must be registered (ecc registry keys,
-// plus engine-only sim configurations where the experiment admits them),
-// options must validate against the scheme, and the explicit default
+// on a scheme-aware one the scheme must be in the ecc table (engine-only
+// entries only where the experiment is not codec-level), options must
+// validate against the scheme's entry, and the explicit default
 // selection normalizes to empty fields — so "scheme omitted" and "scheme
 // set to the default" are one cache entry, and every pre-scheme-layer
 // request keeps its original content-address.
@@ -35,7 +34,7 @@ func (p Params) NormalizedFor(id string) (Params, error) {
 		return Params{}, fmt.Errorf("report: unknown experiment %q", id)
 	}
 	p = p.Normalized()
-	if !sp.schemeAware {
+	if sp.defaultScheme == "" {
 		if p.Scheme != "" || p.SchemeOptions != "" {
 			return Params{}, fmt.Errorf("report: experiment %q is not scheme-aware", id)
 		}
@@ -45,20 +44,12 @@ func (p Params) NormalizedFor(id string) (Params, error) {
 	if scheme == "" {
 		scheme = sp.defaultScheme
 	}
-	var canon string
-	switch {
-	case ecc.Known(scheme):
-		c, err := ecc.CanonicalOptions(scheme, []byte(p.SchemeOptions))
-		if err != nil {
-			return Params{}, fmt.Errorf("report: experiment %q: %w", id, err)
-		}
-		canon = c
-	case sp.engineDomain && sim.KnownScheme(scheme):
-		if p.SchemeOptions != "" {
-			return Params{}, fmt.Errorf("report: experiment %q: engine-only scheme %q accepts no options", id, scheme)
-		}
-	default:
-		return Params{}, fmt.Errorf("report: experiment %q: unknown scheme %q", id, scheme)
+	if e, ok := ecc.Info(scheme); ok && e.EngineOnly && sp.codecLevel {
+		return Params{}, fmt.Errorf("report: experiment %q is codec-level: engine-only scheme %q has no codeword path", id, scheme)
+	}
+	canon, err := ecc.CanonicalOptions(scheme, []byte(p.SchemeOptions))
+	if err != nil {
+		return Params{}, fmt.Errorf("report: experiment %q: %w", id, err)
 	}
 	if scheme == sp.defaultScheme && canon == "" {
 		p.Scheme, p.SchemeOptions = "", ""

@@ -51,7 +51,7 @@ func schemeEval(r *Runner, w io.Writer) (any, error) {
 		return nil, err
 	}
 	done := r.stage("schemeeval: %s across all workloads, workers=%d", sc.Key, r.p.Workers)
-	ev, err := s.Evaluate(r.ctx, sim.QuadEq, []string{sc.Key}, nil)
+	ev, err := s.Evaluate(r.ctx, sim.QuadEq, []sim.SchemeConfig{sc}, nil)
 	if err != nil {
 		return nil, err
 	}

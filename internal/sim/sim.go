@@ -8,6 +8,7 @@ import (
 	"eccparity/internal/cache"
 	"eccparity/internal/core"
 	"eccparity/internal/cpu"
+	"eccparity/internal/ecc"
 	"eccparity/internal/mem"
 	"eccparity/internal/workload"
 )
@@ -86,12 +87,18 @@ func baseConfig() Config {
 // DefaultConfig returns the standard evaluation configuration for one
 // scheme/class/workload cell.
 func DefaultConfig(schemeKey string, class SystemClass, workloadName string) Config {
+	return cellConfig(SchemeByKey(schemeKey), class, workloadName)
+}
+
+// cellConfig is the standard evaluation configuration for one resolved
+// scheme in a class on a named workload.
+func cellConfig(sc SchemeConfig, class SystemClass, workloadName string) Config {
 	spec, ok := workload.ByName(workloadName)
 	if !ok {
 		panic(fmt.Sprintf("sim: unknown workload %q", workloadName))
 	}
 	cfg := baseConfig()
-	cfg.Scheme = SchemeByKey(schemeKey)
+	cfg.Scheme = sc
 	cfg.Class = class
 	cfg.Workload = spec
 	return cfg
@@ -317,7 +324,7 @@ func (e *engine) handleAccess(ci int, acc workload.Access) {
 
 	// Step A1/B of Fig. 6: reads to banks recorded faulty fetch the ECC
 	// line in parallel (cached in the LLC per the VECC-style optimization).
-	if e.cfg.Scheme.Traffic == TrafficParity && e.isMarked(loc) {
+	if e.cfg.Scheme.Traffic == ecc.TrafficParity && e.isMarked(loc) {
 		eccAddr := core.ECCLineAddr(acc.Addr, e.r, e.line)
 		hitE, vE, evE := e.llc.Access(eccAddr, cache.ECC, false)
 		if evE {
@@ -427,9 +434,9 @@ func (e *engine) handleVictim(c *cpu.Core, v cache.Evicted) {
 // writeback and returns the eviction queue with any new victim appended.
 func (e *engine) maintainECC(c *cpu.Core, addr uint64, queue []cache.Evicted) []cache.Evicted {
 	switch e.cfg.Scheme.Traffic {
-	case TrafficInline:
+	case ecc.TrafficInline:
 		return queue
-	case TrafficECCLine:
+	case ecc.TrafficECCLine:
 		eccAddr := core.GECLineAddr(addr, e.cfg.Scheme.LinesPerECCLine, e.line)
 		if e.cfg.DisableECCCaching {
 			if !e.warm {
@@ -449,7 +456,7 @@ func (e *engine) maintainECC(c *cpu.Core, addr uint64, queue []cache.Evicted) []
 			e.ctrl.AccessRow(c.Time(), loc.Channel, loc.Rank, loc.Bank, loc.Row, false, mem.ClassECC)
 		}
 		return queue
-	case TrafficParity:
+	case ecc.TrafficParity:
 		loc := e.mapper.Map(addr)
 		if e.cfg.DisableECCCaching {
 			// Naive Eq. 1 path: read the old data line, read the parity
