@@ -6,13 +6,17 @@
 // run by construction, and concurrent identical requests can share one
 // execution (singleflight).
 //
-// Layout: an in-memory map in front of an optional on-disk directory of
-// <hash>.json files written atomically, so a daemon restart keeps its
-// corpus. Each disk entry is framed with a payload checksum ("eccrc1
-// <sha256hex>\n<payload>") so a truncated or bit-flipped file is detected
-// on read, deleted, and treated as a miss — the result is recomputed, never
-// served corrupted. The disk layer is bounded: when a byte budget is set,
-// least-recently-used entries are evicted to stay under it.
+// Layout: a bounded in-memory tier — least-recently-used entries beyond
+// memBudget (8 MiB of payload) are dropped — in front of an optional
+// on-disk directory of <hash>.json files written atomically, so a daemon
+// restart keeps its corpus. An entry dropped from memory is still served
+// from disk or the shared tier when they hold it; a memory-only cache
+// forgets it, and recomputing it gives the same bytes. Each disk entry is
+// framed with a payload checksum ("eccrc1 <sha256hex>\n<payload>") so a
+// truncated or bit-flipped file is detected on read, deleted, and treated
+// as a miss — the result is recomputed, never served corrupted. The disk
+// layer is bounded: when a byte budget is set, least-recently-used entries
+// are evicted to stay under it.
 //
 // Behind the local tiers an optional shared tier (internal/blob) turns the
 // cache into the fleet-wide store of a multi-node deployment: reads fall
@@ -62,6 +66,12 @@ func Key(config any) (string, error) {
 // validKey guards the on-disk path: keys are exactly 64 hex chars.
 var validKey = regexp.MustCompile(`^[0-9a-f]{64}$`)
 
+// memBudget bounds the payload bytes of the memory tier: about eight
+// hundred ~10 KB figure documents, so a full sweep at the daemon's default
+// 256-point cap (about 3 MB) always fits. Peak RSS runs at about twice the
+// live heap, so every resident MiB costs about two.
+const memBudget = 8 << 20
+
 // diskMagic opens every disk entry, followed by the hex SHA-256 of the
 // payload and a newline. Bumping the version string invalidates the corpus
 // wholesale (old entries fail the frame check and recompute).
@@ -101,8 +111,10 @@ type Stats struct {
 	// that the stripe absorbed without the operation failing (0 unless the
 	// backend reports repair stats).
 	ShardErrors uint64
-	// Entries currently held in memory.
-	Entries int
+	// Entries / MemBytes describe the memory tier: results held and their
+	// payload bytes (at most memBudget).
+	Entries  int
+	MemBytes int64
 	// DiskEntries / DiskBytes describe the on-disk layer (0 when disabled).
 	DiskEntries int
 	DiskBytes   int64
@@ -122,6 +134,14 @@ type diskEntry struct {
 	size int64
 }
 
+// memEntry is one memory-tier record, held at el in the recency list
+// (front = most recently used).
+type memEntry struct {
+	key string
+	val []byte
+	el  *list.Element
+}
+
 // Cache is safe for concurrent use.
 type Cache struct {
 	dir      string // "" = memory only
@@ -136,8 +156,13 @@ type Cache struct {
 	pubSem chan struct{}
 
 	mu       sync.Mutex
-	mem      map[string][]byte
 	inflight map[string]*flight
+
+	// Memory LRU, guarded by mu: mem maps key → entry, memLRU orders the
+	// entries by recency, and memBytes is the payload sum of all of them.
+	mem      map[string]*memEntry
+	memLRU   *list.List
+	memBytes int64
 
 	// Disk LRU index, guarded by mu: index maps key → element whose Value
 	// is *diskEntry; bytes is the framed size sum of everything indexed.
@@ -173,7 +198,7 @@ func WithShared(b blob.Backend) Option {
 func New(dir string, maxDiskBytes int64, opts ...Option) (*Cache, error) {
 	c := &Cache{
 		dir: dir, maxBytes: maxDiskBytes,
-		mem: map[string][]byte{}, inflight: map[string]*flight{},
+		mem: map[string]*memEntry{}, memLRU: list.New(), inflight: map[string]*flight{},
 		lru: list.New(), index: map[string]*list.Element{},
 		pubSem: make(chan struct{}, 4),
 	}
@@ -246,7 +271,7 @@ func (c *Cache) Peek(key string) ([]byte, bool) {
 
 func (c *Cache) lookup(key string) ([]byte, bool) {
 	c.mu.Lock()
-	if v, ok := c.mem[key]; ok {
+	if v, ok := c.memGetLocked(key); ok {
 		c.mu.Unlock()
 		return clone(v), true
 	}
@@ -259,9 +284,43 @@ func (c *Cache) lookup(key string) ([]byte, bool) {
 		return nil, false
 	}
 	c.mu.Lock()
-	c.mem[key] = b
+	c.memPutLocked(key, b)
 	c.mu.Unlock()
 	return clone(b), true
+}
+
+// memGetLocked returns key's bytes from the memory tier and marks the entry
+// most recently used (mu held).
+func (c *Cache) memGetLocked(key string) ([]byte, bool) {
+	e, ok := c.mem[key]
+	if !ok {
+		return nil, false
+	}
+	c.memLRU.MoveToFront(e.el)
+	return e.val, true
+}
+
+// memPutLocked stores v as the most recently used memory entry, then drops
+// least-recently-used entries until the tier fits memBudget (mu held). A
+// value larger than the whole budget is not kept in memory.
+func (c *Cache) memPutLocked(key string, v []byte) {
+	if e, ok := c.mem[key]; ok {
+		c.memBytes -= int64(len(e.val))
+		c.memLRU.Remove(e.el)
+		delete(c.mem, key)
+	}
+	if len(v) > memBudget {
+		return
+	}
+	e := &memEntry{key: key, val: v}
+	e.el = c.memLRU.PushFront(e)
+	c.mem[key] = e
+	c.memBytes += int64(len(v))
+	for c.memBytes > memBudget {
+		e := c.memLRU.Remove(c.memLRU.Back()).(*memEntry)
+		delete(c.mem, e.key)
+		c.memBytes -= int64(len(e.val))
+	}
 }
 
 // GetOrCompute returns the bytes for key, running compute exactly once per
@@ -277,7 +336,7 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(ctx c
 		ctx = context.Background()
 	}
 	c.mu.Lock()
-	if v, ok := c.mem[key]; ok {
+	if v, ok := c.memGetLocked(key); ok {
 		c.mu.Unlock()
 		c.hits.Add(1)
 		return clone(v), true, nil
@@ -334,7 +393,7 @@ func (c *Cache) settle(key string, f *flight, v []byte, err error) {
 	f.val, f.err = v, err
 	c.mu.Lock()
 	if err == nil {
-		c.mem[key] = clone(v)
+		c.memPutLocked(key, clone(v))
 	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
@@ -465,8 +524,9 @@ func (c *Cache) persist(key string, v []byte) {
 }
 
 // evictLocked removes least-recently-used disk entries until the layer fits
-// the byte budget (mu held). Evicted results survive in memory if resident,
-// and can always be recomputed — determinism makes eviction safe.
+// the byte budget (mu held). An evicted result is still served while the
+// memory tier holds it, and can always be recomputed — determinism makes
+// eviction safe.
 func (c *Cache) evictLocked() {
 	if c.maxBytes <= 0 {
 		return
@@ -524,7 +584,7 @@ func (c *Cache) path(key string) string {
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	entries := len(c.mem)
+	entries, memBytes := len(c.mem), c.memBytes
 	diskEntries := c.lru.Len()
 	diskBytes := c.bytes
 	c.mu.Unlock()
@@ -545,6 +605,7 @@ func (c *Cache) Stats() Stats {
 		SharedRepaired:  repair.Repaired,
 		ShardErrors:     repair.ShardErrors,
 		Entries:         entries,
+		MemBytes:        memBytes,
 		DiskEntries:     diskEntries,
 		DiskBytes:       diskBytes,
 	}

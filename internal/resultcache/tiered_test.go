@@ -280,6 +280,9 @@ func TestSingleflightAcrossTiers(t *testing.T) {
 	}
 	close(gate)
 	wg.Wait()
+	// Let the write-behind publish land before TempDir cleanup removes
+	// the shared root under it.
+	c.FlushShared()
 	if computes != 1 {
 		t.Fatalf("computes = %d, want 1 (singleflight across tiers)", computes)
 	}

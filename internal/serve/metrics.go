@@ -150,6 +150,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("eccsimd_cache_evicted_total", "Disk entries evicted to stay under the byte budget.", cs.Evicted)
 	counter("eccsimd_cache_corrupt_total", "Disk entries that failed their checksum and were recomputed.", cs.Corrupt)
 	gauge("eccsimd_cache_entries", "Results held in memory.", cs.Entries)
+	gauge("eccsimd_cache_mem_bytes", "Payload bytes held by the memory tier (bounded LRU).", cs.MemBytes)
 	gauge("eccsimd_cache_disk_entries", "Results held on disk.", cs.DiskEntries)
 	gauge("eccsimd_cache_disk_bytes", "Bytes used by the on-disk result layer.", cs.DiskBytes)
 	ratio := 0.0

@@ -270,4 +270,15 @@ func TestMetricsExpositionParses(t *testing.T) {
 			t.Errorf("%s = %q, want >= 1", want, rest)
 		}
 	}
+	// The memory tier reports its entries and their payload bytes, which
+	// stay within its 8 MiB bound.
+	for _, metric := range []string{"eccsimd_cache_entries", "eccsimd_cache_mem_bytes"} {
+		m := regexp.MustCompile(`(?m)^` + metric + ` (\S+)$`).FindStringSubmatch(text)
+		if m == nil {
+			t.Fatalf("missing %s sample", metric)
+		}
+		if n, err := strconv.ParseInt(m[1], 10, 64); err != nil || n < 1 || n > 8<<20 {
+			t.Errorf("%s = %q, want in [1, 8 MiB]", metric, m[1])
+		}
+	}
 }

@@ -123,12 +123,10 @@ type Server struct {
 	mux     *http.ServeMux
 	peers   *peering // nil = single-node
 
-	// executors is the batch-execution pool: one report.Executor per job
-	// worker, checked out for the duration of one compute, so consecutive
-	// points on the same worker share evaluation matrices (the sweep fast
-	// path). At most JobWorkers computes run concurrently — every compute
-	// happens on a queue worker goroutine — so a checkout never blocks.
-	executors chan *report.Executor
+	// exec is the daemon-wide evaluation store every job worker computes
+	// through, so points that need the same evaluation matrix share it —
+	// and fill it together while it is in flight (the sweep fast path).
+	exec *report.Executor
 
 	// Sweep registry: a sweep is immutable after registration (its point
 	// list and job ids are fixed at submit); live point status is read from
@@ -168,16 +166,13 @@ func New(o Options) (*Server, error) {
 		newQueue = jobqueue.NewFIFO
 	}
 	s := &Server{
-		opts:      o,
-		queue:     newQueue(o.QueueCap, o.JobWorkers),
-		cache:     cache,
-		metrics:   newMetrics(),
-		peers:     peers,
-		sweeps:    map[string]*sweepRec{},
-		executors: make(chan *report.Executor, o.JobWorkers),
-	}
-	for i := 0; i < o.JobWorkers; i++ {
-		s.executors <- report.NewExecutor(o.Progress)
+		opts:    o,
+		queue:   newQueue(o.QueueCap, o.JobWorkers),
+		cache:   cache,
+		metrics: newMetrics(),
+		peers:   peers,
+		sweeps:  map[string]*sweepRec{},
+		exec:    report.NewExecutor(o.Progress),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/experiments", s.handleSubmit)
@@ -392,20 +387,13 @@ func (s *Server) effectiveTimeout(seconds float64) time.Duration {
 // indents the embedded RawMessage uniformly. A canceled ctx propagates out
 // before anything is cached.
 //
-// Each compute checks an Executor out of the pool, so sweep points that
-// land on the same worker back to back reuse each other's evaluation
-// matrices; report.Executor guarantees the rendered bytes are identical to
-// a standalone Runner's.
+// Every compute runs through the one shared Executor, so points on any job
+// worker reuse — or help fill — each other's evaluation matrices;
+// report.Executor guarantees the rendered bytes are identical to a
+// standalone Runner's.
 func (s *Server) compute(ctx context.Context, key, experiment string, p report.Params) ([]byte, error) {
 	p.Workers = s.opts.Workers
-	var x *report.Executor
-	select {
-	case x = <-s.executors:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	rep, err := x.Run(ctx, experiment, p)
-	s.executors <- x
+	rep, err := s.exec.Run(ctx, experiment, p)
 	if err != nil {
 		return nil, err
 	}

@@ -83,63 +83,106 @@ func NewEvaluation(class SystemClass, schemeKeys, workloads []string, opts ...Op
 // checkpoint interval and returns ctx's error; the partial matrix is
 // discarded.
 func EvaluationContext(ctx context.Context, class SystemClass, schemeKeys, workloads []string, opts ...Option) (*Evaluation, error) {
-	if schemeKeys == nil {
-		schemeKeys = PaperSchemes
-	}
-	schemes := make([]SchemeConfig, len(schemeKeys))
-	for i, k := range schemeKeys {
-		schemes[i] = SchemeByKey(k)
+	var schemes []SchemeConfig
+	if schemeKeys != nil {
+		schemes = make([]SchemeConfig, len(schemeKeys))
+		for i, k := range schemeKeys {
+			schemes[i] = SchemeByKey(k)
+		}
 	}
 	return evaluate(ctx, class, schemes, workloads, opts)
 }
 
-// evaluate runs the matrix over resolved configurations, keying results by
-// each configuration's Key; nil workloads mean all.
+// evaluate runs the matrix over resolved configurations as its one caller;
+// nil schemes mean PaperSchemes and nil workloads mean all.
 func evaluate(ctx context.Context, class SystemClass, schemes []SchemeConfig, workloads []string, opts []Option) (*Evaluation, error) {
+	return newMatrix(class, schemes, workloads, opts).join(ctx)
+}
+
+// Matrix is one system class's (scheme × workload) evaluation laid out as
+// independent cells: RunCell simulates one, and Evaluation assembles the
+// finished results. A cell's result depends only on its own Config, so any
+// number of callers may fill one Matrix together through parallel.Shared
+// and the Evaluation is the same whichever caller ran each cell — the
+// property the report layer's shared evaluation store is built on.
+type Matrix struct {
+	class   SystemClass
+	keys    [][2]string // (scheme key, workload) of each cell
+	cfgs    []Config
+	workers int
+	prog    *parallel.Progress
+}
+
+// Matrix lays out the (scheme × workload) matrix for a system class with
+// the Sim's options; nil schemes mean PaperSchemes and nil workloads mean
+// all. Results are keyed by each configuration's Key, so a parameterized
+// variant from SchemeVariant runs like any table entry. A cell selected
+// with WithCell is ignored here — the grid enumerates its own cells.
+func (s *Sim) Matrix(class SystemClass, schemes []SchemeConfig, workloads []string) *Matrix {
+	return newMatrix(class, schemes, workloads, s.opts)
+}
+
+func newMatrix(class SystemClass, schemes []SchemeConfig, workloads []string, opts []Option) *Matrix {
+	if schemes == nil {
+		for _, k := range PaperSchemes {
+			schemes = append(schemes, SchemeByKey(k))
+		}
+	}
 	if workloads == nil {
 		workloads = workload.Names()
 	}
-	type cell struct {
-		scheme SchemeConfig
-		wl     string
-	}
-	cells := make([]cell, 0, len(schemes)*len(workloads))
+	m := &Matrix{class: class}
 	for _, sc := range schemes {
 		for _, wl := range workloads {
-			cells = append(cells, cell{sc, wl})
+			cfg := cellConfig(sc, class, wl)
+			for _, o := range opts {
+				o(&cfg)
+			}
+			m.keys = append(m.keys, [2]string{sc.Key, wl})
+			m.cfgs = append(m.cfgs, cfg)
 		}
 	}
-	cfgFor := func(c cell) Config {
-		cfg := cellConfig(c.scheme, class, c.wl)
-		for _, o := range opts {
-			o(&cfg)
-		}
-		return cfg
+	if len(m.cfgs) > 0 {
+		grid := m.cfgs[0] // the grid-level knobs are cell-invariant
+		m.workers = grid.Workers
+		m.prog = parallel.NewProgress(grid.ProgressW, "sim "+class.String(), len(m.cfgs))
 	}
-	ev := &Evaluation{Class: class, Results: map[string]map[string]Result{}}
-	if len(cells) == 0 {
-		return ev, nil
+	return m
+}
+
+// Cells returns the number of cells, schemes outermost.
+func (m *Matrix) Cells() int { return len(m.cfgs) }
+
+// RunCell simulates cell i. Canceling ctx interrupts it at the engine's
+// checkpoint interval and returns ctx's error.
+func (m *Matrix) RunCell(ctx context.Context, i int) (Result, error) {
+	r, err := RunContext(ctx, m.cfgs[i])
+	if err != nil {
+		return Result{}, err
 	}
-	grid := cfgFor(cells[0]) // the grid-level knobs are cell-invariant
-	prog := parallel.NewProgress(grid.ProgressW, "sim "+class.String(), len(cells))
-	results, err := parallel.Map(ctx, len(cells), grid.Workers, func(ctx context.Context, i int) (Result, error) {
-		r, err := RunContext(ctx, cfgFor(cells[i]))
-		if err != nil {
-			return Result{}, err
-		}
-		prog.Step()
-		return r, nil
-	})
+	m.prog.Step()
+	return r, nil
+}
+
+// join fills the matrix as its one caller.
+func (m *Matrix) join(ctx context.Context) (*Evaluation, error) {
+	results, err := parallel.NewShared(m.Cells(), m.RunCell).Join(ctx, m.workers)
 	if err != nil {
 		return nil, err
 	}
-	for i, c := range cells {
-		if ev.Results[c.scheme.Key] == nil {
-			ev.Results[c.scheme.Key] = map[string]Result{}
+	return m.Evaluation(results), nil
+}
+
+// Evaluation assembles the matrix from every cell's result, in cell order.
+func (m *Matrix) Evaluation(results []Result) *Evaluation {
+	ev := &Evaluation{Class: m.class, Results: map[string]map[string]Result{}}
+	for i, k := range m.keys {
+		if ev.Results[k[0]] == nil {
+			ev.Results[k[0]] = map[string]Result{}
 		}
-		ev.Results[c.scheme.Key][c.wl] = results[i]
+		ev.Results[k[0]][k[1]] = results[i]
 	}
-	return ev, nil
+	return ev
 }
 
 // Workloads returns the evaluated workload names in stable order.
@@ -318,28 +361,33 @@ func Fig9Bandwidth(opts ...Option) []Fig9Row {
 // (WithWorkers), results in spec order; canceling ctx interrupts the
 // in-flight runs at the engine's checkpoint interval.
 func Fig9BandwidthContext(ctx context.Context, opts ...Option) ([]Fig9Row, error) {
-	specs := workload.Specs()
-	cfgFor := func(name string) Config {
-		cfg := DefaultConfig("chipkill36", DualEq, name)
-		for _, o := range opts {
-			o(&cfg)
-		}
-		return cfg
+	ev, err := fig9Matrix(opts).join(ctx)
+	if err != nil {
+		return nil, err
 	}
-	if len(specs) == 0 {
-		return nil, nil
-	}
-	grid := cfgFor(specs[0].Name)
-	prog := parallel.NewProgress(grid.ProgressW, "fig9", len(specs))
-	return parallel.Map(ctx, len(specs), grid.Workers, func(ctx context.Context, i int) (Fig9Row, error) {
-		spec := specs[i]
-		r, err := RunContext(ctx, cfgFor(spec.Name))
-		if err != nil {
-			return Fig9Row{}, err
+	return ev.Fig9Rows(), nil
+}
+
+// Fig9Matrix lays out the Fig. 9 characterization with the Sim's options:
+// the commercial chipkill scheme on the dual-channel system, one cell per
+// workload. Its Evaluation's Fig9Rows are the figure's rows.
+func (s *Sim) Fig9Matrix() *Matrix { return fig9Matrix(s.opts) }
+
+func fig9Matrix(opts []Option) *Matrix {
+	return newMatrix(DualEq, []SchemeConfig{SchemeByKey("chipkill36")}, nil, opts)
+}
+
+// Fig9Rows reads the bandwidth characterization, in workload spec order,
+// from the chipkill36 cells of a dual-channel evaluation (Fig9Matrix).
+func (ev *Evaluation) Fig9Rows() []Fig9Row {
+	ck := ev.Results["chipkill36"]
+	rows := make([]Fig9Row, 0, len(ck))
+	for _, spec := range workload.Specs() {
+		if r, ok := ck[spec.Name]; ok {
+			rows = append(rows, Fig9Row{Workload: spec.Name, Utilization: r.BandwidthUtil, GBs: r.BandwidthGBs, Bin2: spec.Bin2})
 		}
-		prog.Step()
-		return Fig9Row{Workload: spec.Name, Utilization: r.BandwidthUtil, GBs: r.BandwidthGBs, Bin2: spec.Bin2}, nil
-	})
+	}
+	return rows
 }
 
 // Fig1Row is one scheme's capacity-overhead breakdown.

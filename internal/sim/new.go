@@ -79,9 +79,6 @@ func (s *Sim) Run(ctx context.Context) (Result, error) {
 // interval. A cell selected with WithCell is ignored here — the grid
 // enumerates its own cells.
 func (s *Sim) Evaluate(ctx context.Context, class SystemClass, schemes []SchemeConfig, workloads []string) (*Evaluation, error) {
-	if schemes == nil {
-		return EvaluationContext(ctx, class, nil, workloads, s.opts...)
-	}
 	return evaluate(ctx, class, schemes, workloads, s.opts)
 }
 

@@ -4,28 +4,23 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"sync"
+	"sync/atomic"
 
+	"eccparity/internal/parallel"
 	"eccparity/internal/sim"
 )
 
-// evalKey is the identity of one (scheme × workload) evaluation matrix:
-// the Params fields that change simulated behaviour (Cycles, Warmup, Seed)
-// plus the system class. Trials (Monte Carlo only), CSV (rendering only)
-// and Workers (scheduling only) are deliberately excluded — points that
-// differ only in those share the same matrix.
+// evalKey is the identity of one stored matrix: the Params fields that
+// change simulated behaviour (Cycles, Warmup, Seed) plus the system class.
+// Trials (Monte Carlo only), CSV (rendering only) and Workers (scheduling
+// only) are deliberately excluded — points that differ only in those share
+// the same matrix.
 type evalKey struct {
 	cycles float64
 	warmup int
 	seed   int64
 	class  sim.SystemClass
-}
-
-// fig9Key is the identity of a Fig. 9 bandwidth campaign (no class: Fig. 9
-// is always the dual-channel commercial-ECC system).
-type fig9Key struct {
-	cycles float64
-	warmup int
-	seed   int64
 }
 
 // Bounds on the store: an identity is ~128 simulation results, so a
@@ -37,52 +32,120 @@ const (
 	maxStoredFig9  = 8
 )
 
-// evalStore caches evaluation matrices and Fig. 9 campaigns across the
-// points of a batch. It is not safe for concurrent use — it rides inside
-// an Executor, which is checked out by one worker at a time.
+// storeEntry is one matrix of the store: in flight until ev is set.
+type storeEntry struct {
+	matrix  *sim.Matrix
+	work    *parallel.Shared[sim.Result]
+	callers int             // Joins in progress
+	ev      *sim.Evaluation // the finished matrix
+}
+
+// storeTable is one FIFO-bounded table of the store.
+type storeTable struct {
+	max     int
+	entries map[evalKey]*storeEntry
+	order   []evalKey
+}
+
+func (t *storeTable) put(k evalKey, e *storeEntry) {
+	if len(t.order) >= t.max {
+		delete(t.entries, t.order[0])
+		t.order = t.order[1:]
+	}
+	t.entries[k] = e
+	t.order = append(t.order, k)
+}
+
+// drop removes e, unless eviction already replaced it under k.
+func (t *storeTable) drop(k evalKey, e *storeEntry) {
+	if t.entries[k] != e {
+		return
+	}
+	delete(t.entries, k)
+	for i, o := range t.order {
+		if o == k {
+			t.order = append(t.order[:i], t.order[i+1:]...)
+			break
+		}
+	}
+}
+
+// evalStore shares the (scheme × workload) matrices of Figs. 10–17 and the
+// Fig. 9 campaigns among every Runner that holds it, and is safe for
+// concurrent use. Callers asking for the same in-flight matrix fill it
+// together, cell by cell (parallel.Shared), instead of each computing it
+// alone. An entry every caller abandoned — all canceled mid-matrix — is
+// dropped with its partial cells, so nothing partial is ever cached.
 type evalStore struct {
-	evals     map[evalKey]*sim.Evaluation
-	evalOrder []evalKey
-	fig9      map[fig9Key][]sim.Fig9Row
-	fig9Order []fig9Key
+	mu          sync.Mutex
+	evals, fig9 storeTable
+	cellRuns    atomic.Int64 // cells simulated to completion
 }
 
 func newEvalStore() *evalStore {
 	return &evalStore{
-		evals: map[evalKey]*sim.Evaluation{},
-		fig9:  map[fig9Key][]sim.Fig9Row{},
+		evals: storeTable{max: maxStoredEvals, entries: map[evalKey]*storeEntry{}},
+		fig9:  storeTable{max: maxStoredFig9, entries: map[evalKey]*storeEntry{}},
 	}
 }
 
-func (s *evalStore) putEval(k evalKey, ev *sim.Evaluation) {
-	if len(s.evalOrder) >= maxStoredEvals {
-		delete(s.evals, s.evalOrder[0])
-		s.evalOrder = s.evalOrder[1:]
+// evaluation returns the matrix stored in t under k: at once when it is
+// finished, otherwise after joining its fill with up to workers cells at a
+// time. layout builds the matrix when k is not stored yet.
+func (s *evalStore) evaluation(ctx context.Context, t *storeTable, k evalKey, workers int, layout func() *sim.Matrix) (*sim.Evaluation, error) {
+	s.mu.Lock()
+	e, ok := t.entries[k]
+	if !ok {
+		m := layout()
+		e = &storeEntry{matrix: m, work: parallel.NewShared(m.Cells(), func(ctx context.Context, i int) (sim.Result, error) {
+			r, err := m.RunCell(ctx, i)
+			if err == nil {
+				s.cellRuns.Add(1)
+			}
+			return r, err
+		})}
+		t.put(k, e)
 	}
-	s.evals[k] = ev
-	s.evalOrder = append(s.evalOrder, k)
+	if e.ev != nil {
+		s.mu.Unlock()
+		return e.ev, nil
+	}
+	e.callers++
+	work := e.work
+	s.mu.Unlock()
+
+	results, err := work.Join(ctx, workers)
+
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e.callers--
+	if err != nil {
+		if e.callers == 0 {
+			t.drop(k, e)
+		}
+		return nil, err
+	}
+	if e.ev == nil {
+		e.ev = e.matrix.Evaluation(results)
+		e.matrix, e.work = nil, nil
+	}
+	return e.ev, nil
 }
 
-func (s *evalStore) putFig9(k fig9Key, rows []sim.Fig9Row) {
-	if len(s.fig9Order) >= maxStoredFig9 {
-		delete(s.fig9, s.fig9Order[0])
-		s.fig9Order = s.fig9Order[1:]
-	}
-	s.fig9[k] = rows
-	s.fig9Order = append(s.fig9Order, k)
-}
-
-// Executor runs experiment points back to back through one shared
-// evaluation store, so points whose Params agree on the simulated identity
-// (Cycles, Warmup, Seed) reuse each other's (scheme × workload) matrices
-// and Fig. 9 campaigns instead of recomputing them. This is the engine of
-// the batch sweep path: a grid that varies only Trials, CSV, or the
-// experiment id runs its expensive simulations once.
+// Executor runs experiment points through one shared evaluation store, so
+// points whose Params agree on the simulated identity (Cycles, Warmup,
+// Seed) reuse each other's (scheme × workload) matrices and Fig. 9
+// campaigns instead of recomputing them. This is the engine of the batch
+// sweep path: a grid that varies only Trials, CSV, or the experiment id
+// runs its expensive simulations once.
 //
-// Results are unaffected by sharing — a matrix's bytes depend only on its
-// identity, which is exactly the store key — and a canceled point caches
-// nothing, matching the single-Runner behaviour. An Executor is not safe
-// for concurrent use; the daemon keeps one per job worker.
+// An Executor is safe for concurrent use, and concurrent points that need
+// the same in-flight matrix split its cells between them. Results are
+// unaffected by sharing — a matrix's bytes depend only on its identity,
+// which is exactly the store key, never on which point ran each cell — and
+// a point canceled mid-matrix hands its cells back to the others; when
+// every point sharing a matrix is canceled, nothing is cached, matching
+// the single-Runner behaviour. The daemon keeps one for all its workers.
 type Executor struct {
 	progress io.Writer
 	store    *evalStore
@@ -98,9 +161,7 @@ func NewExecutor(progress io.Writer) *Executor {
 // NewRunner(p, progress).RunContext(ctx, experiment) except that the
 // expensive intermediates are shared with the Executor's previous points.
 func (x *Executor) Run(ctx context.Context, experiment string, p Params) (Report, error) {
-	r := NewRunner(p, x.progress)
-	r.store = x.store
-	return r.RunContext(ctx, experiment)
+	return newRunner(p, x.progress, x.store).RunContext(ctx, experiment)
 }
 
 // RunBatch executes an ordered slice of sweep points through one Executor

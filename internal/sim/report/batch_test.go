@@ -1,9 +1,17 @@
 package report
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
+
+	"eccparity/internal/sim"
 )
 
 // batchTestPoints is a mixed sweep: matrix figures over both classes (the
@@ -85,7 +93,7 @@ func TestExecutorCancellationCachesNothing(t *testing.T) {
 	if _, err := x.Run(canceled, "fig10", p); err == nil {
 		t.Fatal("canceled point unexpectedly succeeded")
 	}
-	if n := len(x.store.evals) + len(x.store.fig9); n != 0 {
+	if n := x.store.size(); n != 0 {
 		t.Fatalf("canceled point left %d cached entries in the store", n)
 	}
 	got, err := x.Run(context.Background(), "fig10", p)
@@ -105,7 +113,7 @@ func TestExecutorCancellationCachesNothing(t *testing.T) {
 // scheme axis: a grid expanded over schemes runs through one Executor
 // byte-identically to independent single Runners, at worker counts 1 and 8
 // — the property that lets the daemon's sweep path serve scheme axes from
-// its pooled executors.
+// its shared executor.
 func TestRunBatchSchemeAxis(t *testing.T) {
 	ctx := context.Background()
 	base := Params{Cycles: 4000, Warmup: 500, Trials: 8, Seed: 1}
@@ -148,5 +156,146 @@ func TestRunBatchSchemeAxis(t *testing.T) {
 			}
 		}
 		prev = batch
+	}
+}
+
+// size reports how many matrices the store holds, finished or in flight.
+func (s *evalStore) size() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.evals.entries) + len(s.fig9.entries)
+}
+
+// callers reports how many Joins are in progress on the quad matrix of p.
+func (s *evalStore) callers(p Params) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.evals.entries[evalKey{cycles: p.Cycles, warmup: p.Warmup, seed: p.Seed, class: sim.QuadEq}]
+	if e == nil {
+		return 0
+	}
+	return e.callers
+}
+
+// cellSignal is a progress writer whose fired channel closes once the
+// first evaluation-matrix cell completes.
+type cellSignal struct {
+	once  sync.Once
+	fired chan struct{}
+}
+
+func (c *cellSignal) Write(b []byte) (int, error) {
+	if bytes.HasPrefix(b, []byte("\rsim ")) {
+		c.once.Do(func() { close(c.fired) })
+	}
+	return len(b), nil
+}
+
+// runConcurrently runs one point per id on x at once and returns the
+// reports and errors in id order.
+func runConcurrently(x *Executor, ctxs []context.Context, ids []string, p Params) ([]Report, []error) {
+	reps := make([]Report, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i := range ids {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reps[i], errs[i] = x.Run(ctxs[i], ids[i], p)
+		}()
+	}
+	wg.Wait()
+	return reps, errs
+}
+
+// sameReport fails t unless got matches a standalone Runner's report.
+func sameReport(t *testing.T, label string, got Report, p Params, id string) {
+	t.Helper()
+	want, err := NewRunner(p, nil).RunContext(context.Background(), id)
+	if err != nil {
+		t.Fatalf("%s: standalone %s: %v", label, id, err)
+	}
+	gd, _ := json.Marshal(got.Data)
+	wd, _ := json.Marshal(want.Data)
+	if got.Text != want.Text || !bytes.Equal(gd, wd) {
+		t.Errorf("%s: %s diverges from a standalone run", label, id)
+	}
+}
+
+// TestSharedStoreRunsEachCellOnce is the shared-store contract: two points
+// that need the same quad matrix (fig10 and fig14), run concurrently on one
+// store as two job workers would, simulate each of its 8×16 cells once
+// between them, and both render the bytes of a standalone Runner.
+func TestSharedStoreRunsEachCellOnce(t *testing.T) {
+	ctx := context.Background()
+	ids := []string{"fig10", "fig14"}
+	for _, workers := range []int{1, 4} {
+		p := Params{Cycles: 4000, Warmup: 500, Trials: 12, Seed: 1, Workers: workers}
+		x := NewExecutor(nil)
+		reps, errs := runConcurrently(x, []context.Context{ctx, ctx}, ids, p)
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("workers=%d %s: %v", workers, ids[i], err)
+			}
+		}
+		if n := x.store.cellRuns.Load(); n != 128 {
+			t.Errorf("workers=%d: %d cell runs, want 128 (each quad cell once)", workers, n)
+		}
+		for i, id := range ids {
+			sameReport(t, fmt.Sprintf("workers=%d", workers), reps[i], p, id)
+		}
+	}
+}
+
+// TestSharedStoreCancellation pins cancellation on a shared matrix: a
+// caller canceled mid-matrix hands its cells back and the other caller
+// finishes the matrix with the standalone bytes; when every caller is
+// canceled the partial matrix is dropped. No goroutine outlives its Run.
+func TestSharedStoreCancellation(t *testing.T) {
+	p := Params{Cycles: 4000, Warmup: 500, Trials: 12, Seed: 1, Workers: 2}
+	base := runtime.NumGoroutine()
+	for _, cancelBoth := range []bool{false, true} {
+		sig := &cellSignal{fired: make(chan struct{})}
+		x := NewExecutor(sig)
+		ctxA, cancelA := context.WithCancel(context.Background())
+		ctxB, cancelB := context.WithCancel(context.Background())
+		go func() {
+			<-sig.fired
+			for x.store.callers(p) < 2 {
+				time.Sleep(time.Millisecond)
+			}
+			cancelA()
+			if cancelBoth {
+				cancelB()
+			}
+		}()
+		reps, errs := runConcurrently(x, []context.Context{ctxA, ctxB}, []string{"fig10", "fig10"}, p)
+		cancelB()
+		if !errors.Is(errs[0], context.Canceled) {
+			t.Fatalf("cancelBoth=%v: canceled caller returned %v, want context.Canceled", cancelBoth, errs[0])
+		}
+		if cancelBoth {
+			if !errors.Is(errs[1], context.Canceled) {
+				t.Fatalf("second canceled caller returned %v, want context.Canceled", errs[1])
+			}
+			if n := x.store.size(); n != 0 {
+				t.Errorf("every caller canceled, yet the store holds %d entries", n)
+			}
+			continue
+		}
+		if errs[1] != nil {
+			t.Fatalf("remaining caller: %v", errs[1])
+		}
+		if n := x.store.cellRuns.Load(); n != 128 {
+			t.Errorf("%d completed cell runs, want 128", n)
+		}
+		sameReport(t, "after a cancel", reps[1], p, "fig10")
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Errorf("%d goroutines after the runs, %d before", n, base)
 	}
 }

@@ -123,14 +123,10 @@ func table3(r *Runner, w io.Writer) (any, error) {
 
 func fig9(r *Runner, w io.Writer) (any, error) {
 	header(w, "Fig. 9 — workload bandwidth utilization (dual-channel commercial ECC)")
-	cached, err := r.fig9Rows()
+	rows, err := r.fig9Rows()
 	if err != nil {
 		return nil, err
 	}
-	// Sort a copy: the campaign rows may be shared with later batch points,
-	// and re-sorting an already-sorted slice with a non-stable sort could
-	// reorder ties. Each render sorts the same pristine order instead.
-	rows := append([]sim.Fig9Row(nil), cached...)
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Utilization > rows[j].Utilization })
 	for _, r := range rows {
 		bin := "Bin1"

@@ -83,10 +83,8 @@ type Runner struct {
 	p        Params
 	progress io.Writer
 	ctx      context.Context // the active RunContext's context; Background between runs
-	evals    map[sim.SystemClass]*sim.Evaluation
-	// store, when non-nil, shares evaluation matrices and Fig. 9 campaigns
-	// across the Runners of one Executor (the batch sweep path). A plain
-	// NewRunner has no store and keeps the historical per-Runner caching.
+	// store holds the evaluation matrices and Fig. 9 campaigns: the
+	// Runner's own, or the one every Runner of an Executor shares.
 	store *evalStore
 }
 
@@ -94,7 +92,11 @@ type Runner struct {
 // long campaigns (the CLIs pass stderr); nil silences them. Text output is
 // never written to progress, so rendered bytes stay identical regardless.
 func NewRunner(p Params, progress io.Writer) *Runner {
-	return &Runner{p: p, progress: progress, ctx: context.Background(), evals: map[sim.SystemClass]*sim.Evaluation{}}
+	return newRunner(p, progress, newEvalStore())
+}
+
+func newRunner(p Params, progress io.Writer, store *evalStore) *Runner {
+	return &Runner{p: p, progress: progress, ctx: context.Background(), store: store}
 }
 
 // Params returns the Runner's parameters.
@@ -112,56 +114,32 @@ func (r *Runner) opts() []sim.Option {
 	return opts
 }
 
-// eval returns the cached (scheme × workload) matrix for a system class,
-// running it on first use under the active run's context. A canceled run
-// caches nothing, so a later retry recomputes the matrix from scratch.
-// When the Runner rides in an Executor, the matrix is first looked up in —
-// and published to — the batch-wide store, keyed by the Params fields that
-// determine its contents (Cycles, Warmup, Seed) plus the class.
-func (r *Runner) eval(class sim.SystemClass) (*sim.Evaluation, error) {
-	if ev, ok := r.evals[class]; ok {
-		return ev, nil
-	}
-	key := evalKey{cycles: r.p.Cycles, warmup: r.p.Warmup, seed: r.p.Seed, class: class}
-	if r.store != nil {
-		if ev, ok := r.store.evals[key]; ok {
-			r.evals[class] = ev
-			return ev, nil
-		}
-	}
+// matrix returns the stored evaluation in t for the Runner's simulated
+// identity (Cycles, Warmup, Seed) and class, filling it under the active
+// run's context if needed. A canceled run caches nothing unless another
+// Runner sharing the store finishes the matrix.
+func (r *Runner) matrix(t *storeTable, class sim.SystemClass, layout func(*sim.Sim) *sim.Matrix) (*sim.Evaluation, error) {
 	s, err := sim.New(r.opts()...)
 	if err != nil {
 		return nil, err
 	}
-	ev, err := s.Evaluate(r.ctx, class, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	r.evals[class] = ev
-	if r.store != nil {
-		r.store.putEval(key, ev)
-	}
-	return ev, nil
+	key := evalKey{cycles: r.p.Cycles, warmup: r.p.Warmup, seed: r.p.Seed, class: class}
+	return r.store.evaluation(r.ctx, t, key, r.p.Workers, func() *sim.Matrix { return layout(s) })
 }
 
-// fig9Rows returns the Fig. 9 bandwidth campaign for the Runner's Params,
-// consulting the batch store when present. The returned slice is shared —
-// callers must not mutate it (the renderer sorts a copy).
+// eval returns the (scheme × workload) matrix of the paper's schemes for a
+// system class.
+func (r *Runner) eval(class sim.SystemClass) (*sim.Evaluation, error) {
+	return r.matrix(&r.store.evals, class, func(s *sim.Sim) *sim.Matrix { return s.Matrix(class, nil, nil) })
+}
+
+// fig9Rows returns the Fig. 9 bandwidth campaign's rows, in spec order.
 func (r *Runner) fig9Rows() ([]sim.Fig9Row, error) {
-	key := fig9Key{cycles: r.p.Cycles, warmup: r.p.Warmup, seed: r.p.Seed}
-	if r.store != nil {
-		if rows, ok := r.store.fig9[key]; ok {
-			return rows, nil
-		}
-	}
-	rows, err := sim.Fig9BandwidthContext(r.ctx, r.opts()...)
+	ev, err := r.matrix(&r.store.fig9, sim.DualEq, (*sim.Sim).Fig9Matrix)
 	if err != nil {
 		return nil, err
 	}
-	if r.store != nil {
-		r.store.putFig9(key, rows)
-	}
-	return rows, nil
+	return ev.Fig9Rows(), nil
 }
 
 // spec is one registry entry. run renders the experiment's text into w and
