@@ -5,15 +5,14 @@
 // percentiles (p50/p95/p99), request rate, and sweep throughput as
 // machine-readable JSON.
 //
-// By default it self-hosts: each measured arm gets a fresh in-process
-// daemon (no network noise, no cross-arm cache pollution) and both
-// schedulers are measured back to back, fifo first:
+// By default it self-hosts a fresh in-process daemon (no network noise, no
+// cache pollution from earlier runs):
 //
 //	eccload -sweep-points 1000 -probes 40 -out bench.json
 //
-// Point it at a running daemon instead with -addr (one arm, no restart):
+// Point it at a running daemon instead with -addr:
 //
-//	eccload -addr http://localhost:8344 -scheduler fair
+//	eccload -addr http://localhost:8344
 //
 // Interactive probes use an analytic experiment with a unique seed per
 // probe, so every probe is a real compute job (the content-addressed cache
@@ -41,7 +40,6 @@ import (
 
 type config struct {
 	addr        string
-	scheduler   string
 	sweepPoints int
 	sweepExp    string
 	sweepTrials int
@@ -55,8 +53,9 @@ type config struct {
 	out         string
 }
 
-// armReport is one scheduler's measurement.
-type armReport struct {
+// measurement is one run's result. Scheduler is always "fair", the key
+// cmd/benchdiff compares serving results under.
+type measurement struct {
 	Scheduler string `json:"scheduler"`
 
 	// Interactive probe latencies, submit → terminal, milliseconds.
@@ -96,21 +95,12 @@ type report struct {
 		IntervalMs      float64 `json:"probe_interval_ms"`
 		JobWorkers      int     `json:"job_workers"`
 	} `json:"load"`
-	Results []armReport `json:"results"`
-
-	// Cross-arm summary, present when both schedulers were measured.
-	P95SpeedupFIFOOverFair float64 `json:"interactive_p95_speedup,omitempty"`
-	ThroughputRatio        float64 `json:"throughput_fair_over_fifo,omitempty"`
-	Acceptance             *struct {
-		Criterion string `json:"criterion"`
-		Met       bool   `json:"met"`
-	} `json:"acceptance,omitempty"`
+	Results []measurement `json:"results"`
 }
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.addr, "addr", "", "measure a running daemon at this base URL (empty: self-host one per arm)")
-	flag.StringVar(&cfg.scheduler, "scheduler", "both", "arm(s) to measure when self-hosting: fair, fifo, or both (with -addr, a label for the report)")
+	flag.StringVar(&cfg.addr, "addr", "", "measure a running daemon at this base URL (empty: self-host one)")
 	flag.IntVar(&cfg.sweepPoints, "sweep-points", 1000, "points in the background sweep")
 	flag.StringVar(&cfg.sweepExp, "sweep-experiment", "fig8", "experiment the sweep grids over")
 	flag.IntVar(&cfg.sweepTrials, "sweep-trials", 5, "Monte Carlo trials per sweep point (keep small: the backlog, not the point cost, is under test)")
@@ -128,21 +118,9 @@ func main() {
 		log.Fatal("-sweep-points and -probes must be positive")
 	}
 
-	var arms []string
-	switch {
-	case cfg.addr != "":
-		arms = []string{cfg.scheduler}
-	case cfg.scheduler == "both":
-		arms = []string{"fifo", "fair"}
-	case cfg.scheduler == "fair" || cfg.scheduler == "fifo":
-		arms = []string{cfg.scheduler}
-	default:
-		log.Fatalf("-scheduler must be fair, fifo, or both: got %q", cfg.scheduler)
-	}
-
 	rep := report{
 		Date:      time.Now().UTC().Format("2006-01-02"),
-		Command:   fmt.Sprintf("eccload -sweep-points %d -probes %d -interval %v -scheduler %s", cfg.sweepPoints, cfg.probes, cfg.interval, cfg.scheduler),
+		Command:   fmt.Sprintf("eccload -sweep-points %d -probes %d -interval %v", cfg.sweepPoints, cfg.probes, cfg.interval),
 		Benchmark: "ServingLatencyUnderSweep",
 	}
 	rep.Host.GOOS = runtime.GOOS
@@ -158,33 +136,13 @@ func main() {
 	rep.Load.IntervalMs = float64(cfg.interval) / float64(time.Millisecond)
 	rep.Load.JobWorkers = cfg.jobWorkers
 
-	ctx := context.Background()
-	for _, arm := range arms {
-		ar, err := runArm(ctx, cfg, arm)
-		if err != nil {
-			log.Fatalf("arm %s: %v", arm, err)
-		}
-		log.Printf("%s: interactive p50=%.0fms p95=%.0fms p99=%.0fms, sweep %.1f points/s",
-			arm, ar.P50Ms, ar.P95Ms, ar.P99Ms, ar.PointsPerS)
-		rep.Results = append(rep.Results, ar)
+	ar, err := measure(context.Background(), cfg)
+	if err != nil {
+		log.Fatal(err)
 	}
-
-	if len(rep.Results) == 2 {
-		fifo, fair := rep.Results[0], rep.Results[1]
-		if fair.P95Ms > 0 {
-			rep.P95SpeedupFIFOOverFair = fifo.P95Ms / fair.P95Ms
-		}
-		if fifo.PointsPerS > 0 {
-			rep.ThroughputRatio = fair.PointsPerS / fifo.PointsPerS
-		}
-		rep.Acceptance = &struct {
-			Criterion string `json:"criterion"`
-			Met       bool   `json:"met"`
-		}{
-			Criterion: "interactive p95 under a concurrent sweep >= 5x better than FIFO, sweep throughput within 5%",
-			Met:       rep.P95SpeedupFIFOOverFair >= 5 && rep.ThroughputRatio >= 0.95,
-		}
-	}
+	log.Printf("interactive p50=%.0fms p95=%.0fms p99=%.0fms, sweep %.1f points/s",
+		ar.P50Ms, ar.P95Ms, ar.P99Ms, ar.PointsPerS)
+	rep.Results = []measurement{ar}
 
 	out, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -201,10 +159,10 @@ func main() {
 	log.Printf("report written to %s", cfg.out)
 }
 
-// runArm measures one scheduler: start (or dial) a daemon, launch the big
-// sweep, race interactive probes against it, wait for both, report.
-func runArm(ctx context.Context, cfg config, arm string) (armReport, error) {
-	ar := armReport{Scheduler: arm, SweepPoints: cfg.sweepPoints}
+// measure starts (or dials) a daemon, launches the big sweep, races
+// interactive probes against it, waits for both, and reports.
+func measure(ctx context.Context, cfg config) (measurement, error) {
+	ar := measurement{Scheduler: "fair", SweepPoints: cfg.sweepPoints}
 
 	base := cfg.addr
 	if base == "" {
@@ -213,7 +171,6 @@ func runArm(ctx context.Context, cfg config, arm string) (armReport, error) {
 			JobWorkers:     cfg.jobWorkers,
 			QueueCap:       cfg.sweepPoints + cfg.probes + 64,
 			MaxSweepPoints: cfg.sweepPoints,
-			FIFO:           arm == "fifo",
 		})
 		if err != nil {
 			return ar, err

@@ -83,7 +83,6 @@ func main() {
 	maxSweepPoints := flag.Int("max-sweep-points", serve.MaxSweepPointsDefault, "maximum points one sweep may expand to")
 	drainTimeout := flag.Duration("drain-timeout", 2*time.Minute, "how long a shutdown waits for in-flight jobs before canceling stragglers")
 	progress := flag.Bool("progress", false, "emit per-experiment progress tickers on stderr")
-	scheduler := flag.String("scheduler", "fair", "dispatch policy: fair (weighted classes + per-submitter lanes) or fifo (single global queue; A/B baseline)")
 	nodeID := flag.String("node-id", "", "this replica's id in -peers (required with -peers)")
 	peersFlag := flag.String("peers", "", "full replica list as id=baseURL pairs, e.g. 'a=http://h1:8344,b=http://h2:8344' (empty: single node)")
 	vnodes := flag.Int("vnodes", cluster.DefaultVNodes, "virtual nodes per replica on the consistent-hash ring (must match across the fleet)")
@@ -103,10 +102,6 @@ func main() {
 
 	if *cacheMaxBytes < 0 {
 		fmt.Fprintln(os.Stderr, "-cache-max-bytes must be non-negative")
-		os.Exit(2)
-	}
-	if *scheduler != "fair" && *scheduler != "fifo" {
-		fmt.Fprintf(os.Stderr, "-scheduler must be fair or fifo: got %q\n", *scheduler)
 		os.Exit(2)
 	}
 	var peers []cluster.Node
@@ -133,7 +128,6 @@ func main() {
 		CacheMaxBytes:  *cacheMaxBytes,
 		JobTimeout:     *jobTimeout,
 		MaxSweepPoints: *maxSweepPoints,
-		FIFO:           *scheduler == "fifo",
 		NodeID:         *nodeID,
 		Peers:          peers,
 		VNodes:         *vnodes,
@@ -183,8 +177,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("eccsimd listening on %s (job workers %d, queue cap %d, scheduler %s, cache dir %q)",
-		*addr, *jobWorkers, *queueCap, *scheduler, *cacheDir)
+	log.Printf("eccsimd listening on %s (job workers %d, queue cap %d, cache dir %q)",
+		*addr, *jobWorkers, *queueCap, *cacheDir)
 	if *blobEC != "" {
 		log.Printf("shared blob tier erasure-coded %d+%d over %q: reads survive any %d lost shard roots",
 			ecK, ecM, *blobDir, ecM)

@@ -11,14 +11,20 @@
 // classes share the workers by deficit-weighted round-robin (see sched).
 // FIFO order is preserved within a lane, so one submitter's jobs still run
 // in submission order, but a 10k-point sweep can no longer starve the
-// interactive submitter behind it. NewFIFO restores the old single-lane
-// global FIFO for A/B load measurements.
+// interactive submitter behind it.
+//
+// A running sweep or batch job also lends its worker: at every task
+// boundary of a parallel.Shared set it joins (one simulation cell), it runs
+// at most one queued interactive job inline, then returns to its own work
+// (see lend). An interactive job therefore waits for one cell, not one
+// whole sweep point.
 package jobqueue
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -113,6 +119,7 @@ type job struct {
 	ctx      context.Context
 	cancel   context.CancelFunc
 	timeout  time.Duration // 0 = no deadline; counted from job start
+	lending  bool          // a lent interactive job is running on this job's worker
 	status   Status
 	err      string
 	result   any
@@ -121,9 +128,10 @@ type job struct {
 	finished time.Time
 }
 
-// Counts aggregates terminal outcomes for metrics.
+// Counts aggregates terminal outcomes for metrics. Lent counts the
+// interactive jobs run inline on a lending job's worker (see lend).
 type Counts struct {
-	Submitted, Done, Failed, Canceled uint64
+	Submitted, Done, Failed, Canceled, Lent uint64
 }
 
 // Queue is a bounded job queue with a fixed worker pool and fair dispatch.
@@ -149,19 +157,9 @@ type Queue struct {
 }
 
 // New starts a fair-dispatch queue holding at most capacity queued jobs,
-// executed by exactly workers goroutines. Both are clamped to ≥1.
+// executed by exactly workers goroutines. Both are clamped to ≥1. While
+// jobs are lent, more than workers jobs can be in flight.
 func New(capacity, workers int) *Queue {
-	return newQueue(capacity, workers, false)
-}
-
-// NewFIFO starts a queue identical to New's except that dispatch is the
-// pre-scheduler global FIFO: one lane, priorities ignored. It exists so the
-// load generator can measure the fair scheduler against its baseline.
-func NewFIFO(capacity, workers int) *Queue {
-	return newQueue(capacity, workers, true)
-}
-
-func newQueue(capacity, workers int, fifo bool) *Queue {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -171,7 +169,6 @@ func newQueue(capacity, workers int, fifo bool) *Queue {
 	q := &Queue{
 		jobs:     map[string]*job{},
 		groups:   map[string][]*job{},
-		sched:    sched{fifo: fifo},
 		capacity: capacity,
 		change:   make(chan struct{}),
 		changeG:  map[string]chan struct{}{},
@@ -335,6 +332,9 @@ func (q *Queue) run(j *job) {
 		j.ctx, cancelTimeout = context.WithTimeout(j.ctx, j.timeout)
 		defer cancelTimeout()
 	}
+	if j.class != ClassInteractive {
+		j.ctx = parallel.WithBoundary(j.ctx, func() { q.lend(j) })
+	}
 	q.mu.Unlock()
 
 	res, err := runTask(j)
@@ -351,6 +351,49 @@ func (q *Queue) run(j *job) {
 	}
 	q.mu.Unlock()
 	j.cancel()
+}
+
+// lend is the task-boundary hook of a running sweep or batch job j. It runs
+// at most one queued interactive job inline on j's worker through run, so
+// the lent job's status, deadline, panic capture and queue-wait sample are
+// those of a normal dispatch. Only interactive jobs are lent, and they carry
+// no hook, so lending nests one level deep; j lends to one job at a time
+// and completes a task between lends, so it cannot starve. With nothing to
+// lend, lend yields the processor so the goroutines j's work woke (HTTP
+// handlers, pollers) run now rather than at the next preemption tick.
+func (q *Queue) lend(j *job) {
+	q.mu.Lock()
+	var lent *job
+	if !j.lending {
+		lent = q.sched.popInteractive()
+	}
+	if lent == nil {
+		q.mu.Unlock()
+		runtime.Gosched()
+		return
+	}
+	j.lending = true
+	q.counts.Lent++
+	lent.ctx = context.WithValue(lent.ctx, lentKey{}, true)
+	q.mu.Unlock()
+
+	q.run(lent)
+
+	q.mu.Lock()
+	j.lending = false
+	q.mu.Unlock()
+}
+
+// lentKey marks the context of a job running on a lent worker.
+type lentKey struct{}
+
+// Lent reports whether ctx is the context of a job running on a worker lent
+// by another job. Such a task must not wait for another job to finish: the
+// job it waits for may be its lender, which cannot continue until the task
+// returns.
+func Lent(ctx context.Context) bool {
+	lent, _ := ctx.Value(lentKey{}).(bool)
+	return lent
 }
 
 // finishLocked records a job's single terminal transition (mu held).
@@ -498,8 +541,7 @@ func (q *Queue) Depth() int {
 	return q.sched.queued
 }
 
-// ClassDepth returns how many queued jobs class c holds. A FIFO queue files
-// everything under ClassInteractive.
+// ClassDepth returns how many queued jobs class c holds.
 func (q *Queue) ClassDepth(c Class) int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -529,7 +571,8 @@ func (q *Queue) QueueWait(c Class) stats.Histogram {
 	return q.waitHist[c]
 }
 
-// InFlight returns the number of jobs currently executing.
+// InFlight returns the number of jobs currently executing, lent jobs
+// included.
 func (q *Queue) InFlight() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()

@@ -45,11 +45,7 @@ func Classes() []Class {
 // sched is the fair dispatch structure behind Queue: per-(submitter, group)
 // FIFO queues, round-robin across the queues of one class, deficit-weighted
 // round-robin across classes. All methods require Queue.mu.
-//
-// In fifo mode every job lands in one implicit queue and dispatch degrades
-// to the pre-scheduler global FIFO — the load generator's A/B baseline.
 type sched struct {
-	fifo    bool
 	queued  int
 	classes [numClasses]classQueue
 }
@@ -109,18 +105,14 @@ func schedKey(submitter, group string) string {
 
 // push enqueues j under its class and fairness key.
 func (s *sched) push(j *job) {
-	class, key := j.class, j.schedKey
-	if s.fifo {
-		class, key = ClassInteractive, ""
-	}
-	cq := &s.classes[class]
+	cq := &s.classes[j.class]
 	if cq.groups == nil {
 		cq.groups = map[string]*groupQueue{}
 	}
-	g, ok := cq.groups[key]
+	g, ok := cq.groups[j.schedKey]
 	if !ok {
-		g = &groupQueue{key: key}
-		cq.groups[key] = g
+		g = &groupQueue{key: j.schedKey}
+		cq.groups[j.schedKey] = g
 		cq.ring = append(cq.ring, g)
 	}
 	g.push(j)
@@ -157,6 +149,17 @@ func (s *sched) pop() *job {
 	}
 }
 
+// popInteractive returns the next interactive job, round-robin across its
+// lanes, or nil when none is queued. It bypasses the class credits: a lent
+// job takes no dispatch slot from the other classes.
+func (s *sched) popInteractive() *job {
+	cq := &s.classes[ClassInteractive]
+	if cq.depth == 0 {
+		return nil
+	}
+	return s.popClass(cq)
+}
+
 // popClass serves the cursor group's head job and advances the ring.
 func (s *sched) popClass(cq *classQueue) *job {
 	if cq.next >= len(cq.ring) {
@@ -178,12 +181,8 @@ func (s *sched) popClass(cq *classQueue) *job {
 // remove takes a still-queued job out of its lane (cancellation path). It
 // reports whether the job was found; a job already handed to a worker is not.
 func (s *sched) remove(j *job) bool {
-	class, key := j.class, j.schedKey
-	if s.fifo {
-		class, key = ClassInteractive, ""
-	}
-	cq := &s.classes[class]
-	g, ok := cq.groups[key]
+	cq := &s.classes[j.class]
+	g, ok := cq.groups[j.schedKey]
 	if !ok || !g.remove(j) {
 		return false
 	}
@@ -204,9 +203,7 @@ func (s *sched) remove(j *job) bool {
 	return true
 }
 
-// classDepth returns how many jobs class c has queued. In fifo mode the
-// scheduler files everything under ClassInteractive, so depths reflect the
-// single lane.
+// classDepth returns how many jobs class c has queued.
 func (s *sched) classDepth(c Class) int { return s.classes[c].depth }
 
 // oldestCreated returns the enqueue time of class c's oldest queued job and

@@ -84,23 +84,6 @@ func TestSchedSubmitterLanes(t *testing.T) {
 	}
 }
 
-// TestSchedFIFOModeIgnoresClassAndGroup: NewFIFO's scheduler is one global
-// lane in submission order, whatever the tags say.
-func TestSchedFIFOModeIgnoresClassAndGroup(t *testing.T) {
-	s := sched{fifo: true}
-	now := time.Now()
-	s.push(mkJob("1", ClassBatch, "a", "G", now))
-	s.push(mkJob("2", ClassInteractive, "b", "", now))
-	s.push(mkJob("3", ClassSweep, "c", "H", now))
-	var order []string
-	for j := s.pop(); j != nil; j = s.pop() {
-		order = append(order, j.id)
-	}
-	if fmt.Sprint(order) != fmt.Sprint([]string{"1", "2", "3"}) {
-		t.Fatalf("fifo pop order %v, want submission order", order)
-	}
-}
-
 // TestSchedRemove: removing queued jobs (the cancellation path) keeps
 // depths, ring membership and oldest-age bookkeeping consistent.
 func TestSchedRemove(t *testing.T) {

@@ -16,6 +16,9 @@ import (
 //
 // A task error that is not its caller's own cancellation (a failure, or a
 // captured panic) fails the whole set: every Join returns it.
+//
+// A caller's context may carry a boundary hook (WithBoundary), which Join
+// runs on the caller's goroutines between tasks.
 type Shared[T any] struct {
 	fn func(ctx context.Context, i int) (T, error)
 
@@ -47,6 +50,20 @@ func NewShared[T any](n int, fn func(ctx context.Context, i int) (T, error)) *Sh
 	return s
 }
 
+// boundaryKey is the context key of a WithBoundary hook.
+type boundaryKey struct{}
+
+// WithBoundary returns a copy of ctx carrying hook. Every Shared.Join under
+// that context calls hook on the caller's goroutine after each task the
+// caller completes, while ctx is live and before the goroutine claims its
+// next task. The goroutine holds no claimed task while hook runs, so hook
+// may run other work inline without stalling the set for other callers.
+// Tasks see ctx without the hook, so a set nested inside a task never calls
+// it while its goroutine holds an outer task.
+func WithBoundary(ctx context.Context, hook func()) context.Context {
+	return context.WithValue(ctx, boundaryKey{}, hook)
+}
+
 // Join works on the set until it completes, fails, or ctx is canceled, and
 // returns only after every task it started has settled, so no goroutine of
 // this caller outlives the call. It returns the n results in index order —
@@ -56,12 +73,16 @@ func (s *Shared[T]) Join(ctx context.Context, workers int) ([]T, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	hook, _ := ctx.Value(boundaryKey{}).(func())
+	if hook != nil {
+		ctx = WithBoundary(ctx, nil)
+	}
 	var wg sync.WaitGroup
 	for w := Workers(workers, len(s.results)); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.work(ctx)
+			s.work(ctx, hook)
 		}()
 	}
 	wg.Wait()
@@ -78,8 +99,9 @@ func (s *Shared[T]) Join(ctx context.Context, workers int) ([]T, error) {
 }
 
 // work is one of a caller's worker goroutines: claim, run, settle, until
-// the set is done or the caller's ctx is canceled.
-func (s *Shared[T]) work(ctx context.Context) {
+// the set is done or the caller's ctx is canceled. hook (nil = none) runs
+// after each task this goroutine completes.
+func (s *Shared[T]) work(ctx context.Context, hook func()) {
 	for {
 		s.mu.Lock()
 		if len(s.todo) == 0 {
@@ -105,6 +127,7 @@ func (s *Shared[T]) work(ctx context.Context) {
 		res, err := capture(ctx, i, s.fn)
 
 		s.mu.Lock()
+		completed := false
 		switch {
 		case s.err != nil:
 			// The set failed while this task ran; nothing to record.
@@ -114,6 +137,7 @@ func (s *Shared[T]) work(ctx context.Context) {
 			if s.left == 0 {
 				close(s.done)
 			}
+			completed = true
 		case ctx.Err() != nil:
 			s.todo = append(s.todo, i)
 			close(s.handed)
@@ -123,5 +147,8 @@ func (s *Shared[T]) work(ctx context.Context) {
 			close(s.done)
 		}
 		s.mu.Unlock()
+		if completed && hook != nil && ctx.Err() == nil {
+			hook()
+		}
 	}
 }

@@ -82,3 +82,42 @@ func TestSharedFailure(t *testing.T) {
 		t.Fatalf("empty set: %v, %v", res, err)
 	}
 }
+
+// TestSharedBoundaryHook: a WithBoundary hook runs on the caller's
+// goroutine once after each task it completes and never while a task is
+// claimed; tasks see no hook, so a set nested in a task cannot call it; a
+// canceled caller stops calling it.
+func TestSharedBoundaryHook(t *testing.T) {
+	var hooks, running atomic.Int64
+	hook := func() {
+		if running.Load() != 0 {
+			t.Error("hook ran while the goroutine held a task")
+		}
+		hooks.Add(1)
+	}
+	s := NewShared(5, func(ctx context.Context, i int) (int, error) {
+		running.Add(1)
+		defer running.Add(-1)
+		if h, _ := ctx.Value(boundaryKey{}).(func()); h != nil {
+			t.Error("task context carries the boundary hook")
+		}
+		inner, err := NewShared(2, func(context.Context, int) (int, error) { return 0, nil }).Join(ctx, 1)
+		return i + len(inner), err
+	})
+	if _, err := s.Join(WithBoundary(context.Background(), hook), 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := hooks.Load(); n != 5 {
+		t.Errorf("hook ran %d times over 5 tasks, want 5", n)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	hooks.Store(0)
+	s = NewShared(5, func(context.Context, int) (int, error) { return 0, nil })
+	if _, err := s.Join(WithBoundary(ctx, func() { hooks.Add(1); cancel() }), 1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("caller canceled from its hook: %v, want context.Canceled", err)
+	}
+	if n := hooks.Load(); n != 1 {
+		t.Errorf("hook ran %d times after the caller was canceled, want 1", n)
+	}
+}

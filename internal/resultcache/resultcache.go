@@ -332,6 +332,19 @@ func (c *Cache) memPutLocked(key string, v []byte) {
 // canceled computation settles with its error, caches nothing (memory or
 // disk), and leaves the key open for the next caller to recompute.
 func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (val []byte, hit bool, err error) {
+	return c.getOrCompute(ctx, key, compute, true)
+}
+
+// GetOrComputeNoWait is GetOrCompute for a caller that must not wait on
+// another caller's computation, because that caller may be waiting on it.
+// When key is already in flight it runs compute itself, outside the flight;
+// the determinism contract makes its bytes the flight's bytes, and they are
+// stored like a flight's.
+func (c *Cache) GetOrComputeNoWait(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (val []byte, hit bool, err error) {
+	return c.getOrCompute(ctx, key, compute, false)
+}
+
+func (c *Cache) getOrCompute(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error), wait bool) (val []byte, hit bool, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -343,6 +356,9 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(ctx c
 	}
 	if f, ok := c.inflight[key]; ok {
 		c.mu.Unlock()
+		if !wait {
+			return c.computeOutsideFlight(ctx, key, compute)
+		}
 		select {
 		case <-f.done:
 		case <-ctx.Done():
@@ -384,6 +400,22 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(ctx c
 	if cerr != nil {
 		return nil, false, cerr
 	}
+	return clone(v), false, nil
+}
+
+// computeOutsideFlight runs compute for a key another caller's flight is
+// already computing, and stores the bytes as settle would.
+func (c *Cache) computeOutsideFlight(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
+	c.misses.Add(1)
+	v, err := compute(ctx)
+	if err != nil {
+		return nil, false, err
+	}
+	c.persist(key, v)
+	c.publishShared(key, v)
+	c.mu.Lock()
+	c.memPutLocked(key, clone(v))
+	c.mu.Unlock()
 	return clone(v), false, nil
 }
 

@@ -193,3 +193,55 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 		t.Errorf("stats = %+v, want 16 entries / 16 misses", s)
 	}
 }
+
+// TestGetOrComputeNoWait: while another caller's flight for a key is held
+// open, a no-wait caller computes the key itself instead of blocking on
+// the flight, and its bytes are stored; with no flight it behaves like
+// GetOrCompute, and later callers hit.
+func TestGetOrComputeNoWait(t *testing.T) {
+	c, err := New("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	owner := make(chan error)
+	go func() {
+		_, _, err := c.GetOrCompute(context.Background(), "k1", func(context.Context) ([]byte, error) {
+			close(entered)
+			<-release
+			return []byte("payload"), nil
+		})
+		owner <- err
+	}()
+	<-entered
+	v, hit, err := c.GetOrComputeNoWait(context.Background(), "k1", func(context.Context) ([]byte, error) {
+		return []byte("payload"), nil
+	})
+	if err != nil || hit || string(v) != "payload" {
+		t.Fatalf("no-wait caller beside an open flight: %q hit=%v err=%v, want its own computed payload", v, hit, err)
+	}
+	if got, ok := c.Get("k1"); !ok || string(got) != "payload" {
+		t.Fatalf("no-wait result not stored: %q, %v", got, ok)
+	}
+	close(release)
+	if err := <-owner; err != nil {
+		t.Fatal(err)
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Coalesced != 0 {
+		t.Errorf("stats %+v, want two misses and no coalescing", s)
+	}
+
+	computes := 0
+	for range 2 {
+		v, _, err := c.GetOrComputeNoWait(context.Background(), "k2", func(context.Context) ([]byte, error) {
+			computes++
+			return []byte("other"), nil
+		})
+		if err != nil || string(v) != "other" {
+			t.Fatalf("no flight: %q, %v", v, err)
+		}
+	}
+	if computes != 1 {
+		t.Errorf("no-wait computed an absent key %d times over two calls, want 1", computes)
+	}
+}

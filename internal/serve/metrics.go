@@ -103,7 +103,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 
 	gauge("eccsimd_queue_depth", "Jobs waiting in the bounded submission queue.", s.queue.Depth())
-	gauge("eccsimd_jobs_inflight", "Experiment jobs currently executing.", s.queue.InFlight())
+	gauge("eccsimd_jobs_inflight", "Experiment jobs currently executing; exceeds the job worker count while sweep or batch jobs lend their workers to interactive jobs.", s.queue.InFlight())
 
 	// Scheduler observability: per-class backlog, how long jobs of each
 	// class sit queued, and the age of the oldest still-queued job — the
@@ -134,6 +134,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(&b, "eccsimd_jobs_total{status=\"done\"} %d\n", qc.Done)
 	fmt.Fprintf(&b, "eccsimd_jobs_total{status=\"failed\"} %d\n", qc.Failed)
 	fmt.Fprintf(&b, "eccsimd_jobs_total{status=\"canceled\"} %d\n", qc.Canceled)
+	counter("eccsimd_jobs_lent_total", "Interactive jobs run inline on the worker of a running sweep or batch job, between its simulation cells.", qc.Lent)
 	counter("eccsimd_rejected_full_total", "Submissions rejected with 429 because the queue was saturated.", s.metrics.rejectedFull.Load())
 	counter("eccsimd_cancel_requests_total", "Accepted DELETE /v1/jobs cancellations.", s.metrics.cancelRequests.Load())
 

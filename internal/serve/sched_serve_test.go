@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"net/http"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -30,14 +32,12 @@ func bigSweep(n int) api.SweepRequest {
 // TestInteractiveOvertakesSweep is the mixed-load e2e for the fair
 // scheduler: with one job worker and an 8-point sweep backlog, an
 // interactive submission landing mid-sweep must be dispatched ahead of the
-// remaining sweep points and finish while the sweep is still running. The
-// FIFO baseline inverts the expectation — the interactive job queues
-// behind the whole grid — which is exactly the regression this test
-// pins against.
+// remaining sweep points and finish while the sweep is still running — the
+// regression a single global FIFO would reintroduce.
 func TestInteractiveOvertakesSweep(t *testing.T) {
 	const points = 8
-	run := func(t *testing.T, fifo bool) (sweepDoneAtInteractive int, total int) {
-		_, ts := newServer(t, Options{Workers: 1, JobWorkers: 1, QueueCap: points + 8, MaxSweepPoints: points, FIFO: fifo})
+	t.Run("fair", func(t *testing.T) {
+		_, ts := newServer(t, Options{Workers: 1, JobWorkers: 1, QueueCap: points + 8, MaxSweepPoints: points})
 		c := api.NewClient(ts.URL)
 		ctx := context.Background()
 
@@ -56,19 +56,9 @@ func TestInteractiveOvertakesSweep(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitSweepTerminal(t, c, st.ID)
-		return mid.Progress.Done + mid.Progress.Failed + mid.Progress.Canceled, mid.Progress.Total
-	}
-
-	t.Run("fair", func(t *testing.T) {
-		done, total := run(t, false)
+		done, total := mid.Progress.Done+mid.Progress.Failed+mid.Progress.Canceled, mid.Progress.Total
 		if done >= total {
 			t.Fatalf("interactive job finished only after all %d sweep points — fair scheduler did not prioritize it", total)
-		}
-	})
-	t.Run("fifo-baseline", func(t *testing.T) {
-		done, total := run(t, true)
-		if done < total {
-			t.Fatalf("FIFO baseline: interactive finished with %d/%d sweep points done; expected it to queue behind the whole grid", done, total)
 		}
 	})
 }
@@ -270,6 +260,11 @@ func TestMetricsExpositionParses(t *testing.T) {
 			t.Errorf("%s = %q, want >= 1", want, rest)
 		}
 	}
+	// Lending is counted; nothing here queues an interactive job behind a
+	// running sweep point, so the counter is present and still zero.
+	if !regexp.MustCompile(`(?m)^eccsimd_jobs_lent_total 0$`).MatchString(text) {
+		t.Error("missing eccsimd_jobs_lent_total sample, or it counted a lend")
+	}
 	// The memory tier reports its entries and their payload bytes, which
 	// stay within its 8 MiB bound.
 	for _, metric := range []string{"eccsimd_cache_entries", "eccsimd_cache_mem_bytes"} {
@@ -280,5 +275,71 @@ func TestMetricsExpositionParses(t *testing.T) {
 		if n, err := strconv.ParseInt(m[1], 10, 64); err != nil || n < 1 || n > 8<<20 {
 			t.Errorf("%s = %q, want in [1, 8 MiB]", metric, m[1])
 		}
+	}
+}
+
+// gateWriter is a progress writer that holds the first simulation-cell
+// tick until released, parking the computing job's worker inside its
+// first cell.
+type gateWriter struct {
+	once    sync.Once
+	parked  chan struct{}
+	release chan struct{}
+}
+
+func (g *gateWriter) Write(b []byte) (int, error) {
+	if bytes.HasPrefix(b, []byte("\rsim ")) {
+		g.once.Do(func() {
+			close(g.parked)
+			<-g.release
+		})
+	}
+	return len(b), nil
+}
+
+// TestLendSameConfigAsLender: an interactive submission of exactly the
+// config a running sweep point is computing is lent that point's worker.
+// The lent job must not wait on the sweep point's in-flight computation —
+// the sweep point cannot finish until the lent job returns — so it
+// computes the config itself, joining the same in-flight matrix, and both
+// serve the bytes of a server that never lent.
+func TestLendSameConfigAsLender(t *testing.T) {
+	gate := &gateWriter{parked: make(chan struct{}), release: make(chan struct{})}
+	s, ts := newServer(t, Options{Workers: 1, JobWorkers: 1, Progress: gate})
+	c := api.NewClient(ts.URL)
+	const body = `{"experiment":"fig10","cycles":4000,"warmup":500,"trials":12,"seed":3}`
+
+	st, err := c.SubmitSweep(context.Background(), api.SweepRequest{
+		Base: api.SubmitRequest{Experiment: "fig10", Cycles: 4000, Warmup: 500, Seed: 3},
+		Axes: api.SweepAxes{Trials: []int{12}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.parked
+	code, sr := postJSON(t, ts.URL, body)
+	if code != http.StatusAccepted || sr.ResultHash != st.Points[0].ResultHash {
+		t.Fatalf("interactive submit of the running point's config: status %d, hash %.12s vs %.12s", code, sr.ResultHash, st.Points[0].ResultHash)
+	}
+	close(gate.release)
+	if js := pollDone(t, ts.URL, sr.JobID); js.Status != api.StatusDone {
+		t.Fatalf("lent job ended %s: %s", js.Status, js.Error)
+	}
+	if fin := waitSweepTerminal(t, c, st.ID); fin.Status != api.StatusDone {
+		t.Fatalf("lending sweep ended %s", fin.Status)
+	}
+	if n := s.queue.Stats().Lent; n != 1 {
+		t.Fatalf("lent %d jobs, want 1", n)
+	}
+
+	_, plain := newServer(t, Options{Workers: 1})
+	code, ref := postJSON(t, plain.URL, body)
+	if code != http.StatusAccepted {
+		t.Fatalf("reference submit: status %d", code)
+	}
+	pollDone(t, plain.URL, ref.JobID)
+	_, want := getBody(t, plain.URL+"/v1/results/"+ref.ResultHash)
+	if _, got := getBody(t, ts.URL+"/v1/results/"+sr.ResultHash); !bytes.Equal(got, want) {
+		t.Fatal("result computed through a lent worker differs from the reference server's bytes")
 	}
 }

@@ -91,10 +91,6 @@ type Options struct {
 	// MaxSweepPoints caps how many points one sweep may expand to
 	// (default MaxSweepPointsDefault).
 	MaxSweepPoints int
-	// FIFO disables the fair scheduler and dispatches jobs in global
-	// submission order, ignoring priority and submitter — the pre-scheduler
-	// behavior, kept as the load generator's A/B baseline (-scheduler fifo).
-	FIFO bool
 	// Progress receives grid/campaign progress tickers (nil = silent).
 	Progress io.Writer
 
@@ -161,13 +157,9 @@ func New(o Options) (*Server, error) {
 			return nil, err
 		}
 	}
-	newQueue := jobqueue.New
-	if o.FIFO {
-		newQueue = jobqueue.NewFIFO
-	}
 	s := &Server{
 		opts:    o,
-		queue:   newQueue(o.QueueCap, o.JobWorkers),
+		queue:   jobqueue.New(o.QueueCap, o.JobWorkers),
 		cache:   cache,
 		metrics: newMetrics(),
 		peers:   peers,
@@ -321,7 +313,13 @@ func priorityClass(p string, def jobqueue.Class) jobqueue.Class {
 func (s *Server) pointTask(experiment string, p report.Params, key string, sweepPoint bool) jobqueue.Task {
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
-		_, hit, err := s.cache.GetOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
+		getOrCompute := s.cache.GetOrCompute
+		if jobqueue.Lent(ctx) {
+			// The job lending this worker may own key's flight, and it
+			// cannot finish until this job returns: compute, never wait.
+			getOrCompute = s.cache.GetOrComputeNoWait
+		}
+		_, hit, err := getOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
 			return s.compute(ctx, key, experiment, p)
 		})
 		if err != nil {
