@@ -24,7 +24,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
@@ -120,6 +119,7 @@ type job struct {
 	cancel   context.CancelFunc
 	timeout  time.Duration // 0 = no deadline; counted from job start
 	lending  bool          // a lent interactive job is running on this job's worker
+	done     chan struct{} // closed at the job's terminal transition
 	status   Status
 	err      string
 	result   any
@@ -293,7 +293,8 @@ func (q *Queue) SubmitWith(task Task, o SubmitOptions) (string, error) {
 		id: id, group: o.Group, origin: o.Origin,
 		schedKey: schedKey(submitter, o.Group),
 		class:    o.Class, task: task, ctx: ctx, cancel: cancel,
-		timeout: o.Timeout, status: StatusQueued, created: time.Now(),
+		timeout: o.Timeout, done: make(chan struct{}),
+		status: StatusQueued, created: time.Now(),
 	}
 	q.jobs[id] = j
 	if o.Group != "" {
@@ -358,9 +359,7 @@ func (q *Queue) run(j *job) {
 // the lent job's status, deadline, panic capture and queue-wait sample are
 // those of a normal dispatch. Only interactive jobs are lent, and they carry
 // no hook, so lending nests one level deep; j lends to one job at a time
-// and completes a task between lends, so it cannot starve. With nothing to
-// lend, lend yields the processor so the goroutines j's work woke (HTTP
-// handlers, pollers) run now rather than at the next preemption tick.
+// and completes a task between lends, so it cannot starve.
 func (q *Queue) lend(j *job) {
 	q.mu.Lock()
 	var lent *job
@@ -369,7 +368,6 @@ func (q *Queue) lend(j *job) {
 	}
 	if lent == nil {
 		q.mu.Unlock()
-		runtime.Gosched()
 		return
 	}
 	j.lending = true
@@ -410,6 +408,7 @@ func (q *Queue) finishLocked(j *job, s Status, res any, errMsg string) {
 	case StatusCanceled:
 		q.counts.Canceled++
 	}
+	close(j.done)
 	q.bumpLocked(j)
 }
 
@@ -486,6 +485,19 @@ func (q *Queue) Get(id string) (Snapshot, bool) {
 		Group: j.group, Class: j.class, Origin: j.origin,
 		Result: j.result,
 	}, true
+}
+
+// Done returns a channel that is closed once the job reaches a terminal
+// state, and whether the job exists. Unlike Changed, it fires for this job
+// alone: a long-poll on one job is not woken by every other transition.
+func (q *Queue) Done(id string) (<-chan struct{}, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	j, ok := q.jobs[id]
+	if !ok {
+		return nil, false
+	}
+	return j.done, true
 }
 
 // Cancel cancels a job: a queued job becomes terminal immediately (and

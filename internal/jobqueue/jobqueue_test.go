@@ -436,6 +436,55 @@ func TestChangedSignalsTransitions(t *testing.T) {
 	}
 }
 
+// TestDoneSignalsOnlyItsJob: a job's Done channel stays open through its
+// own start and other jobs' transitions, and closes at its terminal one —
+// including a cancel while queued. Unknown ids report false.
+func TestDoneSignalsOnlyItsJob(t *testing.T) {
+	q := New(4, 1)
+	defer drain(q)
+	if _, ok := q.Done("job-404"); ok {
+		t.Fatal("Done reported an unknown job")
+	}
+	release := make(chan struct{})
+	running, err := q.Submit(func(ctx context.Context) (any, error) {
+		hold(ctx, release)
+		return nil, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queued, err := q.Submit(func(context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := q.Submit(func(context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	runDone, _ := q.Done(running)
+	queuedDone, _ := q.Done(queued)
+	otherDone, _ := q.Done(other)
+	if !q.Cancel(other) {
+		t.Fatal("cancel of a queued job failed")
+	}
+	await(t, otherDone, "the canceled job's Done")
+	select {
+	case <-runDone:
+		t.Fatal("running job's Done closed by another job's transition")
+	case <-queuedDone:
+		t.Fatal("queued job's Done closed by another job's transition")
+	default:
+	}
+	close(release)
+	await(t, runDone, "the running job's Done")
+	await(t, queuedDone, "the queued job's Done")
+	for _, id := range []string{running, queued, other} {
+		if s, _ := q.Get(id); !s.Status.Terminal() {
+			t.Errorf("job %s is %s after its Done closed", id, s.Status)
+		}
+	}
+}
+
 // TestCancelBeatsTimeout: an explicit cancel of a deadline-carrying job
 // still reports StatusCanceled.
 func TestCancelBeatsTimeout(t *testing.T) {

@@ -56,8 +56,9 @@ type boundaryKey struct{}
 // WithBoundary returns a copy of ctx carrying hook. Every Shared.Join under
 // that context calls hook on the caller's goroutine after each task the
 // caller completes, while ctx is live and before the goroutine claims its
-// next task. The goroutine holds no claimed task while hook runs, so hook
-// may run other work inline without stalling the set for other callers.
+// next task — except after the task that completes the set. The goroutine
+// holds no claimed task while hook runs, so hook may run other work inline
+// without stalling the set for other callers.
 // Tasks see ctx without the hook, so a set nested inside a task never calls
 // it while its goroutine holds an outer task.
 func WithBoundary(ctx context.Context, hook func()) context.Context {
@@ -100,7 +101,8 @@ func (s *Shared[T]) Join(ctx context.Context, workers int) ([]T, error) {
 
 // work is one of a caller's worker goroutines: claim, run, settle, until
 // the set is done or the caller's ctx is canceled. hook (nil = none) runs
-// after each task this goroutine completes.
+// after each task this goroutine completes while the set is not yet done:
+// once nothing is left to run, a hook could only delay the caller's return.
 func (s *Shared[T]) work(ctx context.Context, hook func()) {
 	for {
 		s.mu.Lock()
@@ -127,7 +129,7 @@ func (s *Shared[T]) work(ctx context.Context, hook func()) {
 		res, err := capture(ctx, i, s.fn)
 
 		s.mu.Lock()
-		completed := false
+		boundary := false // a task completed and the set is not done
 		switch {
 		case s.err != nil:
 			// The set failed while this task ran; nothing to record.
@@ -136,8 +138,9 @@ func (s *Shared[T]) work(ctx context.Context, hook func()) {
 			s.left--
 			if s.left == 0 {
 				close(s.done)
+			} else {
+				boundary = true
 			}
-			completed = true
 		case ctx.Err() != nil:
 			s.todo = append(s.todo, i)
 			close(s.handed)
@@ -147,7 +150,7 @@ func (s *Shared[T]) work(ctx context.Context, hook func()) {
 			close(s.done)
 		}
 		s.mu.Unlock()
-		if completed && hook != nil && ctx.Err() == nil {
+		if boundary && hook != nil && ctx.Err() == nil {
 			hook()
 		}
 	}

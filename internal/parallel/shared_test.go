@@ -84,9 +84,9 @@ func TestSharedFailure(t *testing.T) {
 }
 
 // TestSharedBoundaryHook: a WithBoundary hook runs on the caller's
-// goroutine once after each task it completes and never while a task is
-// claimed; tasks see no hook, so a set nested in a task cannot call it; a
-// canceled caller stops calling it.
+// goroutine once after each task it completes, except the set's last, and
+// never while a task is claimed; tasks see no hook, so a set nested in a
+// task cannot call it; a canceled caller stops calling it.
 func TestSharedBoundaryHook(t *testing.T) {
 	var hooks, running atomic.Int64
 	hook := func() {
@@ -107,8 +107,8 @@ func TestSharedBoundaryHook(t *testing.T) {
 	if _, err := s.Join(WithBoundary(context.Background(), hook), 1); err != nil {
 		t.Fatal(err)
 	}
-	if n := hooks.Load(); n != 5 {
-		t.Errorf("hook ran %d times over 5 tasks, want 5", n)
+	if n := hooks.Load(); n != 4 {
+		t.Errorf("hook ran %d times over 5 tasks, want 4 (none after the last)", n)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -119,5 +119,56 @@ func TestSharedBoundaryHook(t *testing.T) {
 	}
 	if n := hooks.Load(); n != 1 {
 		t.Errorf("hook ran %d times after the caller was canceled, want 1", n)
+	}
+}
+
+// TestSharedNoHookAfterLastTask forces the interleaving of a lending job:
+// one goroutine's hook is still running (a lent job) when the caller's
+// other goroutine completes the set's last task. That goroutine must not
+// call the hook again: the set is done, and a second lend would only hold
+// the caller's Join behind it.
+func TestSharedNoHookAfterLastTask(t *testing.T) {
+	parked := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	release := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	s := NewShared(3, func(_ context.Context, i int) (int, error) {
+		if i < 2 {
+			close(parked[i])
+			<-release[i]
+		}
+		return i, nil
+	})
+	var hooks, afterDone atomic.Int64
+	lending, releaseLend := make(chan struct{}), make(chan struct{})
+	hook := func() {
+		select {
+		case <-s.done:
+			afterDone.Add(1)
+		default:
+		}
+		if hooks.Add(1) == 1 {
+			close(lending)
+			<-releaseLend
+		}
+	}
+	joined := make(chan error, 1)
+	go func() {
+		_, err := s.Join(WithBoundary(context.Background(), hook), 2)
+		joined <- err
+	}()
+	<-parked[0]
+	<-parked[1]
+	close(release[0]) // one goroutine completes task 0 and starts lending
+	<-lending
+	close(release[1]) // the other completes task 1, then the last task
+	<-s.done
+	close(releaseLend)
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	if n := hooks.Load(); n != 2 {
+		t.Errorf("hook ran %d times over 3 tasks, want 2 (none after the last)", n)
+	}
+	if n := afterDone.Load(); n != 0 {
+		t.Errorf("hook started %d times after the set was done", n)
 	}
 }

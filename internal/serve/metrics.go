@@ -2,7 +2,9 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/http"
+	rtmetrics "runtime/metrics"
 	"sort"
 	"strings"
 	"sync"
@@ -200,8 +202,54 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	s.metrics.mu.Unlock()
 
+	writeSchedLatency(&b)
+
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.Write([]byte(b.String()))
+}
+
+// Scheduler-latency buckets: the runtime histogram's power-of-two
+// nanosecond boundaries from 2^schedLatencyMinExp ns (128 ns) to
+// 2^schedLatencyMaxExp ns (about 17 s); longer waits land in +Inf.
+const (
+	schedLatencyMinExp = 7
+	schedLatencyMaxExp = 34
+)
+
+// writeSchedLatency exports the runtime's /sched/latencies:seconds
+// histogram — how long goroutines sat runnable before a processor ran them,
+// since process start — as eccsimd_sched_latency_seconds. It names the
+// stage an HTTP handler or poller spends waiting while every processor
+// computes. The runtime's fine buckets are merged into power-of-two ones,
+// and since it keeps no sum, _sum adds each bucket's lower edge: an
+// underestimate.
+func writeSchedLatency(b *strings.Builder) {
+	sample := []rtmetrics.Sample{{Name: "/sched/latencies:seconds"}}
+	rtmetrics.Read(sample)
+	if sample[0].Value.Kind() != rtmetrics.KindFloat64Histogram {
+		return
+	}
+	h := sample[0].Value.Float64Histogram()
+	const name = "eccsimd_sched_latency_seconds"
+	fmt.Fprintf(b, "# HELP %s Time goroutines spent runnable before running, since start (runtime/metrics /sched/latencies:seconds; _sum is a lower bound).\n# TYPE %s histogram\n", name, name)
+	var cum uint64
+	var sum float64
+	i := 0
+	for exp := schedLatencyMinExp; exp <= schedLatencyMaxExp; exp++ {
+		edge := math.Ldexp(1, exp) / 1e9
+		// Boundaries are computed the same way by the runtime; the slack
+		// only absorbs rounding.
+		for ; i < len(h.Counts) && h.Buckets[i+1] <= edge*(1+1e-9); i++ {
+			cum += h.Counts[i]
+			sum += float64(h.Counts[i]) * math.Max(h.Buckets[i], 0)
+		}
+		fmt.Fprintf(b, "%s_bucket{le=\"%g\"} %d\n", name, edge, cum)
+	}
+	for ; i < len(h.Counts); i++ {
+		cum += h.Counts[i]
+		sum += float64(h.Counts[i]) * math.Max(h.Buckets[i], 0)
+	}
+	fmt.Fprintf(b, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %g\n%s_count %d\n", name, cum, name, sum, name, cum)
 }
 
 // writeHistogram converts one stats.Histogram to Prometheus histogram

@@ -265,6 +265,24 @@ func TestMetricsExpositionParses(t *testing.T) {
 	if !regexp.MustCompile(`(?m)^eccsimd_jobs_lent_total 0$`).MatchString(text) {
 		t.Error("missing eccsimd_jobs_lent_total sample, or it counted a lend")
 	}
+	// The runtime's scheduler-latency histogram is exported: cumulative
+	// buckets ending in +Inf, which equals the count, and at least one
+	// goroutine has waited to run by now.
+	buckets := regexp.MustCompile(`(?m)^eccsimd_sched_latency_seconds_bucket\{le="([^"]+)"\} (\d+)$`).FindAllStringSubmatch(text, -1)
+	if len(buckets) < 2 || buckets[len(buckets)-1][1] != "+Inf" {
+		t.Fatalf("eccsimd_sched_latency_seconds: %d buckets, want several ending in +Inf", len(buckets))
+	}
+	prev := uint64(0)
+	for _, m := range buckets {
+		n, _ := strconv.ParseUint(m[2], 10, 64)
+		if n < prev {
+			t.Errorf("eccsimd_sched_latency_seconds bucket le=%s = %d, below the previous %d", m[1], n, prev)
+		}
+		prev = n
+	}
+	if !regexp.MustCompile(fmt.Sprintf(`(?m)^eccsimd_sched_latency_seconds_count %d$`, prev)).MatchString(text) || prev < 1 {
+		t.Errorf("eccsimd_sched_latency_seconds_count missing or not the +Inf bucket %d", prev)
+	}
 	// The memory tier reports its entries and their payload bytes, which
 	// stay within its 8 MiB bound.
 	for _, metric := range []string{"eccsimd_cache_entries", "eccsimd_cache_mem_bytes"} {

@@ -10,7 +10,7 @@
 //	POST   /v1/experiments      submit a config; 202 + job id (200 on cache hit)
 //	GET    /v1/experiments      list known experiment ids
 //	GET    /v1/schemes          list the resilience scheme registry
-//	GET    /v1/jobs/{id}        poll a job's status
+//	GET    /v1/jobs/{id}        poll a job's status (?wait= long-polls to terminal)
 //	DELETE /v1/jobs/{id}        cancel a job (interrupts a running engine)
 //	GET    /v1/results/{hash}   fetch a result document by content address
 //	GET    /healthz             liveness
@@ -474,6 +474,12 @@ func (s *Server) wireJobStatus(snap jobqueue.Snapshot) api.JobStatus {
 	return js
 }
 
+// handleJob serves GET /v1/jobs/{id}. Without parameters it answers
+// immediately. With ?wait=<duration> it long-polls: the response is held
+// until the job is terminal or the wait (capped at maxSweepWait) elapses,
+// so a client waiting for one job costs one request, not a poll loop. The
+// hold blocks on the job's own completion channel, never the queue-wide
+// broadcast. A job owned by a peer is proxied there, query included.
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	node, local, remote := s.routeID(r.PathValue("id"))
 	if remote && !relayed(r) {
@@ -484,6 +490,25 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		httpError(w, http.StatusNotFound, api.CodeNotFound, "unknown job %q", r.PathValue("id"))
 		return
+	}
+	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
+		wait, err := time.ParseDuration(waitStr)
+		if err != nil || wait < 0 {
+			httpError(w, http.StatusBadRequest, api.CodeInvalidRequest, "wait must be a non-negative duration (e.g. 5s): got %q", waitStr)
+			return
+		}
+		if !snap.Status.Terminal() {
+			done, _ := s.queue.Done(local)
+			timer := time.NewTimer(min(wait, maxSweepWait))
+			defer timer.Stop()
+			select {
+			case <-done:
+			case <-timer.C:
+			case <-r.Context().Done():
+				return
+			}
+			snap, _ = s.queue.Get(local)
+		}
 	}
 	writeJSON(w, http.StatusOK, s.wireJobStatus(snap))
 }

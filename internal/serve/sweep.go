@@ -27,8 +27,9 @@ import (
 	"eccparity/pkg/api"
 )
 
-// maxSweepWait caps how long one GET /v1/sweeps/{id}?wait= request may hold
-// its connection; clients long-poll in rounds.
+// maxSweepWait caps how long one GET /v1/sweeps/{id}?wait= or
+// GET /v1/jobs/{id}?wait= request may hold its connection; clients
+// long-poll in rounds.
 const maxSweepWait = 60 * time.Second
 
 // remotePollInterval paces the owner polls for sweep points executing on

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 
 	"eccparity/internal/cache"
 	"eccparity/internal/core"
@@ -174,11 +175,24 @@ func Run(cfg Config) Result {
 // every 1024 iterations, far below the noise floor of the hot path.
 const ctxCheckEvery = 1024
 
+// checkpoint is the engine's periodic stop: it returns ctx's error once ctx
+// is canceled, and otherwise yields the processor, so a goroutine that is
+// waiting to run (an HTTP handler or client woken while every processor
+// computes) waits at most one checkpoint interval instead of a whole run or
+// the runtime's 10 ms preemption tick. Yielding reorders no engine work.
+func checkpoint(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	runtime.Gosched()
+	return nil
+}
+
 // RunContext executes one simulation deterministically, polling ctx at a
 // bounded checkpoint interval (ctxCheckEvery loop iterations) during both
 // warmup and the measured window. A run that completes is byte-identical
-// to Run — the checkpoints only observe, never reorder — and a canceled
-// run returns ctx's error with a zero Result.
+// to Run — the checkpoints only observe and yield, never reorder — and a
+// canceled run returns ctx's error with a zero Result.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	a := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(a)
@@ -191,7 +205,7 @@ func (e *engine) warmup(ctx context.Context) error {
 		// Each outer iteration issues one access per core, so this polls at
 		// least every ctxCheckEvery accesses.
 		if i&(ctxCheckEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
+			if err := checkpoint(ctx); err != nil {
 				return err
 			}
 		}
@@ -236,7 +250,7 @@ func (e *engine) measure(ctx context.Context) error {
 		// Cancellation checkpoint: bounded to ctxCheckEvery iterations so a
 		// cancel interrupts mid-run, not at budget exhaustion.
 		if iter&(ctxCheckEvery-1) == 0 {
-			if err := ctx.Err(); err != nil {
+			if err := checkpoint(ctx); err != nil {
 				return err
 			}
 		}

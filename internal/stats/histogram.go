@@ -8,7 +8,8 @@ import (
 
 // Histogram is a power-of-two-bucketed histogram for latency-style
 // distributions: cheap to update on the simulator's hot path, accurate
-// enough for percentile reporting. Bucket i holds values in [2^i, 2^(i+1)).
+// enough for percentile reporting. Bucket 0 holds [0, 1) and bucket i ≥ 1
+// holds [2^(i-1), 2^i); the last bucket also takes everything above.
 type Histogram struct {
 	Buckets [40]uint64
 	N       uint64
@@ -26,14 +27,31 @@ func (h *Histogram) Add(v float64) {
 	if v > h.MaxV {
 		h.MaxV = v
 	}
-	i := 0
-	if v >= 1 {
-		i = int(math.Log2(v)) + 1
-		if i >= len(h.Buckets) {
-			i = len(h.Buckets) - 1
-		}
+	h.Buckets[bucket(v, len(h.Buckets))]++
+}
+
+// frexpSlack is how close Frexp's fraction may come to 1 before bucket
+// defers to math.Log2, whose rounding there carries the result up to the
+// next integer.
+const frexpSlack = 1e-9
+
+// bucket returns the index of v among n buckets: int(math.Log2(v))+1 for
+// v ≥ 1, clamped to n-1, and 0 below. v = frac·2^exp with frac in
+// [0.5, 1), so the bucket is exp — except when frac is within frexpSlack of
+// 1, where Log2 rounds up to exp and the bucket becomes exp+1; there the
+// exact formula still decides, so every sample lands where it always has.
+func bucket(v float64, n int) int {
+	if v < 1 {
+		return 0
 	}
-	h.Buckets[i]++
+	frac, i := math.Frexp(v)
+	if frac > 1-frexpSlack {
+		i = int(math.Log2(v)) + 1
+	}
+	if i >= n {
+		i = n - 1
+	}
+	return i
 }
 
 // Mean returns the average sample.

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -160,5 +161,50 @@ func TestHistogramHugeValues(t *testing.T) {
 	h.Add(math.MaxFloat64) // must not panic or index out of range
 	if h.Percentile(100) != math.MaxFloat64 {
 		t.Fatal("max lost")
+	}
+}
+
+// TestHistogramBucketMatchesLog2: the Frexp-based bucket equals the exact
+// int(math.Log2(v))+1 formula it replaced (clamped to the last bucket) at
+// every power of two and 4 ulps either side, where Log2's rounding decides
+// the bucket, and on 1M seeded random values.
+func TestHistogramBucketMatchesLog2(t *testing.T) {
+	const n = len(Histogram{}.Buckets)
+	want := func(v float64) int {
+		i := 0
+		if v >= 1 {
+			i = int(math.Log2(v)) + 1
+			if i >= n {
+				i = n - 1
+			}
+		}
+		return i
+	}
+	check := func(v float64) {
+		if got, w := bucket(v, n), want(v); got != w {
+			t.Fatalf("bucket(%v) = %d, Log2 formula gives %d", v, got, w)
+		}
+	}
+	for exp := -4; exp <= 1000; exp++ {
+		p := math.Ldexp(1, exp)
+		check(p)
+		up, down := p, p
+		for k := 0; k < 4; k++ {
+			up = math.Nextafter(up, math.Inf(1))
+			down = math.Nextafter(down, 0)
+			check(up)
+			check(down)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 1_000_000; k++ {
+		switch k % 3 {
+		case 0: // log-uniform across every bucket and past the last
+			check(math.Exp2(rng.Float64() * 48))
+		case 1: // latency-like values in cycles
+			check(rng.Float64() * 4096)
+		default: // integer-valued samples near powers of two
+			check(float64(uint64(1)<<rng.Intn(45) + uint64(rng.Intn(9)) - 4))
+		}
 	}
 }

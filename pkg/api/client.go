@@ -137,27 +137,37 @@ func (c *Client) ListSchemes(ctx context.Context) ([]SchemeInfo, error) {
 	return out.Schemes, nil
 }
 
-// Wait polls a job every poll interval (default 50ms when ≤ 0) until it
-// reaches a terminal state or ctx is done. The terminal snapshot is
-// returned even for failed/canceled jobs; only transport and ctx errors
-// are errors.
+// jobWaitWindow is how long one GET /v1/jobs/{id}?wait= asks the server to
+// hold the request; the server caps it (60s), and Wait repeats it.
+const jobWaitWindow = 30 * time.Second
+
+// Wait blocks until a job reaches a terminal state or ctx is done. It
+// long-polls GET /v1/jobs/{id}?wait=: the server answers the moment the job
+// finishes, so a job that finishes inside one window costs exactly one
+// request. poll (default 50ms when ≤ 0) is only the pause before the next
+// request after a response that is not terminal — a window that expired,
+// or a server that ignores ?wait and answers at once — so the client never
+// spins. The terminal snapshot is returned even for failed/canceled jobs;
+// only transport and ctx errors are errors.
 func (c *Client) Wait(ctx context.Context, jobID string, poll time.Duration) (JobStatus, error) {
 	if poll <= 0 {
 		poll = 50 * time.Millisecond
 	}
-	t := time.NewTicker(poll)
-	defer t.Stop()
+	path := "/v1/jobs/" + jobID + "?wait=" + jobWaitWindow.String()
+	var last JobStatus
 	for {
-		js, err := c.Job(ctx, jobID)
-		if err != nil {
+		var js JobStatus
+		if err := c.do(ctx, http.MethodGet, path, nil, &js); err != nil {
+			if ctx.Err() != nil {
+				return last, ctx.Err()
+			}
 			return JobStatus{}, err
 		}
 		if Terminal(js.Status) {
 			return js, nil
 		}
-		select {
-		case <-t.C:
-		case <-ctx.Done():
+		last = js
+		if !sleepCtx(ctx, poll) {
 			return js, ctx.Err()
 		}
 	}

@@ -227,3 +227,33 @@ func TestNoRedirectRetryOnOriginFailure(t *testing.T) {
 		t.Fatal("expected a transport error")
 	}
 }
+
+// TestWaitBacksOffWhenServerAnswersEarly: against a server that ignores
+// ?wait= and answers at once, Wait still long-polls (every request asks
+// for a window) and pauses poll between non-terminal answers instead of
+// spinning.
+func TestWaitBacksOffWhenServerAnswersEarly(t *testing.T) {
+	var calls atomic.Int32
+	srv := watchServer(t, func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("wait") == "" {
+			t.Errorf("request %s carries no ?wait=", r.URL)
+		}
+		st := StatusRunning
+		if calls.Add(1) == 3 {
+			st = StatusDone
+		}
+		json.NewEncoder(w).Encode(JobStatus{ID: "job-1", Status: st})
+	})
+	const poll = 20 * time.Millisecond
+	start := time.Now()
+	js, err := NewClient(srv.URL).Wait(context.Background(), "job-1", poll)
+	if err != nil || js.Status != StatusDone {
+		t.Fatalf("Wait: %+v, %v; want done", js, err)
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("Wait sent %d requests, want 3", n)
+	}
+	if took := time.Since(start); took < 2*poll {
+		t.Errorf("Wait took %v over two early answers, want at least two %v pauses", took, poll)
+	}
+}
