@@ -29,13 +29,42 @@ var (
 	evalDual *sim.Evaluation
 )
 
-func matrices() (*sim.Evaluation, *sim.Evaluation) {
+func matrices(b *testing.B) (*sim.Evaluation, *sim.Evaluation) {
 	evalOnce.Do(func() {
 		opts := []sim.Option{sim.WithCycles(150000), sim.WithWarmup(20000)}
-		evalQuad = sim.NewEvaluation(sim.QuadEq, nil, nil, opts...)
-		evalDual = sim.NewEvaluation(sim.DualEq, nil, nil, opts...)
+		evalQuad = evaluate(b, sim.QuadEq, nil, nil, opts...)
+		evalDual = evaluate(b, sim.DualEq, nil, nil, opts...)
 	})
 	return evalQuad, evalDual
+}
+
+// evaluate runs an uncanceled grid through sim.New(opts...).Evaluate; nil
+// schemeKeys mean the paper's schemes and nil workloads mean all.
+func evaluate(b *testing.B, class sim.SystemClass, schemeKeys, workloads []string, opts ...sim.Option) *sim.Evaluation {
+	b.Helper()
+	s, err := sim.New(opts...)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var schemes []sim.SchemeConfig
+	for _, k := range schemeKeys {
+		schemes = append(schemes, sim.SchemeByKey(k))
+	}
+	ev, err := s.Evaluate(context.Background(), class, schemes, workloads)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ev
+}
+
+// run simulates one cell to completion.
+func run(b *testing.B, cfg sim.Config) sim.Result {
+	b.Helper()
+	r, err := sim.RunContext(context.Background(), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return r
 }
 
 // reportComparison publishes a figure's headline numbers as bench metrics.
@@ -77,7 +106,10 @@ func BenchmarkFig2MTBFAcrossChannels(b *testing.B) {
 func BenchmarkFig8EOLCorrectionFraction(b *testing.B) {
 	var rows []sim.Fig8Row
 	for i := 0; i < b.N; i++ {
-		rows = sim.Fig8EOLFractions(800, 1, 0)
+		var err error
+		if rows, err = sim.Fig8EOLFractionsContext(context.Background(), 800, 1, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, r := range rows {
 		b.Logf("%d channels: mean %.4f p99.9 %.4f", r.Channels, r.Mean, r.P999)
@@ -90,7 +122,7 @@ func BenchmarkFig8EOLCorrectionFraction(b *testing.B) {
 func BenchmarkFig9BandwidthCharacterization(b *testing.B) {
 	var rows []sim.Fig9Row
 	for i := 0; i < b.N; i++ {
-		rows = sim.Fig9Bandwidth(sim.WithCycles(100000), sim.WithWarmup(10000))
+		rows = evaluate(b, sim.DualEq, []string{"chipkill36"}, nil, sim.WithCycles(100000), sim.WithWarmup(10000)).Fig9Rows()
 	}
 	var bin2 float64
 	for _, r := range rows {
@@ -103,7 +135,7 @@ func BenchmarkFig9BandwidthCharacterization(b *testing.B) {
 }
 
 func BenchmarkFig10EPIQuad(b *testing.B) {
-	q, _ := matrices()
+	q, _ := matrices(b)
 	var cmp sim.Comparison
 	for i := 0; i < b.N; i++ {
 		cmp = q.Fig10EPI()
@@ -115,7 +147,7 @@ func BenchmarkFig10EPIQuad(b *testing.B) {
 }
 
 func BenchmarkFig11EPIDual(b *testing.B) {
-	_, d := matrices()
+	_, d := matrices(b)
 	var cmp sim.Comparison
 	for i := 0; i < b.N; i++ {
 		cmp = d.Fig10EPI()
@@ -124,7 +156,7 @@ func BenchmarkFig11EPIDual(b *testing.B) {
 }
 
 func BenchmarkFig12DynamicEPI(b *testing.B) {
-	q, _ := matrices()
+	q, _ := matrices(b)
 	var cmp sim.Comparison
 	for i := 0; i < b.N; i++ {
 		cmp = q.Fig12Dynamic()
@@ -133,7 +165,7 @@ func BenchmarkFig12DynamicEPI(b *testing.B) {
 }
 
 func BenchmarkFig13BackgroundEPI(b *testing.B) {
-	q, _ := matrices()
+	q, _ := matrices(b)
 	var cmp sim.Comparison
 	for i := 0; i < b.N; i++ {
 		cmp = q.Fig13Background()
@@ -142,7 +174,7 @@ func BenchmarkFig13BackgroundEPI(b *testing.B) {
 }
 
 func BenchmarkFig14PerfQuad(b *testing.B) {
-	q, _ := matrices()
+	q, _ := matrices(b)
 	var cmp sim.Comparison
 	for i := 0; i < b.N; i++ {
 		cmp = q.Fig14Perf()
@@ -151,7 +183,7 @@ func BenchmarkFig14PerfQuad(b *testing.B) {
 }
 
 func BenchmarkFig15PerfDual(b *testing.B) {
-	_, d := matrices()
+	_, d := matrices(b)
 	var cmp sim.Comparison
 	for i := 0; i < b.N; i++ {
 		cmp = d.Fig14Perf()
@@ -160,7 +192,7 @@ func BenchmarkFig15PerfDual(b *testing.B) {
 }
 
 func BenchmarkFig16AccessesQuad(b *testing.B) {
-	q, _ := matrices()
+	q, _ := matrices(b)
 	var cmp sim.Comparison
 	for i := 0; i < b.N; i++ {
 		cmp = q.Fig16Accesses()
@@ -169,7 +201,7 @@ func BenchmarkFig16AccessesQuad(b *testing.B) {
 }
 
 func BenchmarkFig17AccessesDual(b *testing.B) {
-	_, d := matrices()
+	_, d := matrices(b)
 	var cmp sim.Comparison
 	for i := 0; i < b.N; i++ {
 		cmp = d.Fig16Accesses()
@@ -192,7 +224,10 @@ func BenchmarkFig18ScrubWindow(b *testing.B) {
 func BenchmarkTable3CapacityOverheads(b *testing.B) {
 	var rows []sim.Table3Row
 	for i := 0; i < b.N; i++ {
-		rows = sim.Table3Capacity(400, 1, 0)
+		var err error
+		if rows, err = sim.Table3CapacityContext(context.Background(), 400, 1, 0); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for _, r := range rows {
 		b.Logf("%-40s %.3f EOL %.3f", r.Config, r.Overhead, r.EOL)
@@ -220,14 +255,16 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("montecarlo/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				faultmodel.SimulateEOL(topo, rates, 7*faultmodel.HoursPerYear, 2000, 1, w)
+				if _, err := faultmodel.SimulateEOLContext(context.Background(), topo, rates, 7*faultmodel.HoursPerYear, 2000, 1, w); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("simgrid/workers=%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sim.NewEvaluation(sim.QuadEq,
+				evaluate(b, sim.QuadEq,
 					[]string{"chipkill18", "lotecc5+parity"},
 					[]string{"mcf", "lbm", "milc", "omnetpp"},
 					sim.WithCycles(60000), sim.WithWarmup(5000), sim.WithWorkers(w))
@@ -275,9 +312,9 @@ func BenchmarkAblationXORCaching(b *testing.B) {
 		cfg := sim.DefaultConfig("lotecc5+parity", sim.QuadEq, "lbm")
 		cfg.MeasureCycles = 150000
 		cfg.WarmupAccesses = 20000
-		on = sim.Run(cfg)
+		on = run(b, cfg)
 		cfg.DisableECCCaching = true
-		off = sim.Run(cfg)
+		off = run(b, cfg)
 	}
 	b.ReportMetric(on.AccessesPerInstr*1000, "acc_per_kinstr_cached")
 	b.ReportMetric(off.AccessesPerInstr*1000, "acc_per_kinstr_uncached")
@@ -308,7 +345,7 @@ func BenchmarkAblationSleepThreshold(b *testing.B) {
 			cfg.MeasureCycles = 120000
 			cfg.WarmupAccesses = 15000
 			cfg.PowerDownThreshold = th
-			r := sim.Run(cfg)
+			r := run(b, cfg)
 			if i == 0 {
 				b.Logf("threshold %8.0f: background EPI %.0f pJ", th, r.BackgroundEPI)
 			}
@@ -324,7 +361,7 @@ func BenchmarkAblationScrubTraffic(b *testing.B) {
 			cfg.MeasureCycles = 120000
 			cfg.WarmupAccesses = 15000
 			cfg.ScrubLineInterval = interval
-			r := sim.Run(cfg)
+			r := run(b, cfg)
 			if i == 0 {
 				b.Logf("scrub interval %6.0f: %.4f acc/instr, EPI %.0f",
 					interval, r.AccessesPerInstr, r.EPI)
@@ -341,9 +378,9 @@ func BenchmarkSpeedBinTradeoff(b *testing.B) {
 		cfg := sim.DefaultConfig("lotecc5+parity", sim.QuadEq, "lbm")
 		cfg.MeasureCycles = 120000
 		cfg.WarmupAccesses = 15000
-		base = sim.Run(cfg)
+		base = run(b, cfg)
 		cfg.SpeedBinFactor = 1.16
-		fast = sim.Run(cfg)
+		fast = run(b, cfg)
 	}
 	b.ReportMetric(fast.EPI/base.EPI, "epi_ratio_fast_bin")
 }
@@ -389,7 +426,7 @@ func BenchmarkAblationRowPolicy(b *testing.B) {
 				cfg.MeasureCycles = 120000
 				cfg.WarmupAccesses = 15000
 				cfg.OpenPage = open
-				r := sim.Run(cfg)
+				r := run(b, cfg)
 				if i == 0 {
 					b.Logf("%-14s openPage=%-5v EPI=%6.0f dyn=%6.0f bg=%6.0f rowHits=%d",
 						wl, open, r.EPI, r.DynamicEPI, r.BackgroundEPI, r.Mem.RowHits)
@@ -446,7 +483,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	})
 }
 
-// BenchmarkSingleRunHotPath times one sim.Run — the unit the hot-path
+// BenchmarkSingleRunHotPath times one sim.RunContext — the unit the hot-path
 // optimization work targets (indexed core heap, positional-LRU cache sets,
 // open-addressed inflight table, bus slot rings, tabulated GF multiplies).
 // -benchmem makes allocation regressions in the access path visible; pair
@@ -457,7 +494,7 @@ func BenchmarkSingleRunHotPath(b *testing.B) {
 	cfg.WarmupAccesses = 20000
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim.Run(cfg)
+		run(b, cfg)
 	}
 }
 
@@ -472,7 +509,10 @@ func BenchmarkHarpProfile(b *testing.B) {
 	}
 	var res faultmodel.HarpResult
 	for i := 0; i < b.N; i++ {
-		res = faultmodel.ProfileHarp(cfg)
+		var err error
+		if res, err = faultmodel.ProfileHarpContext(context.Background(), cfg); err != nil {
+			b.Fatal(err)
+		}
 	}
 	final := res.Final()
 	b.ReportMetric(100*final.RawCoverage, "raw_cov_pct")

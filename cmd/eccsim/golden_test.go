@@ -29,9 +29,14 @@ var goldenParams = runParams{
 	Workers: 1,
 }
 
-// goldenRun executes the full experiment dispatcher with stdout captured
+// goldenHarpHash is the SHA-256 of `eccsim -exp harpprofile -trials 40
+// -seed 3` stdout: the HARP profiling campaign's bytes, which the `-exp
+// all` set does not run.
+const goldenHarpHash = "775b72f3453d2cdf1dd8c4e7315c9ba67878dca6223bd0a6d03f98aaa3453538"
+
+// goldenRun executes the experiment dispatcher on exp with stdout captured
 // and returns the SHA-256 of everything it printed.
-func goldenRun(t *testing.T, workers int) string {
+func goldenRun(t *testing.T, exp string, p runParams) string {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
@@ -48,9 +53,7 @@ func goldenRun(t *testing.T, workers int) string {
 		done <- err
 	}()
 
-	p := goldenParams
-	p.Workers = workers
-	runErr := runExperiments(context.Background(), "all", p)
+	runErr := runExperiments(context.Background(), exp, p)
 	w.Close()
 	os.Stdout = old
 	if err := <-done; err != nil {
@@ -68,9 +71,23 @@ func goldenRun(t *testing.T, workers int) string {
 // equivalence regression for the hot-path optimization work.
 func TestGoldenOutputSeed1(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		if got := goldenRun(t, workers); got != goldenAllHash {
+		p := goldenParams
+		p.Workers = workers
+		if got := goldenRun(t, "all", p); got != goldenAllHash {
 			t.Errorf("workers=%d: stdout hash %s, want %s (engine output diverged from the golden baseline)",
 				workers, got, goldenAllHash)
+		}
+	}
+}
+
+// TestGoldenHarpProfileSeed3 pins the harpprofile report bytes at workers
+// 1 and 4.
+func TestGoldenHarpProfileSeed3(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := runParams{Trials: 40, Seed: 3, Workers: workers}
+		if got := goldenRun(t, "harpprofile", p); got != goldenHarpHash {
+			t.Errorf("workers=%d: stdout hash %s, want %s (HARP profiling output diverged from the golden baseline)",
+				workers, got, goldenHarpHash)
 		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -66,20 +67,31 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	r := report.NewRunner(report.Params{
+	err = runExperiments(ctx, ids, report.Params{
 		Trials: *trials, Seed: common.Seed, Workers: common.Workers,
-	}, os.Stderr)
+	}, os.Stdout, os.Stderr)
+	if errors.Is(err, context.Canceled) {
+		stopProf()
+		fmt.Fprintln(os.Stderr, "faultmc: interrupted")
+		os.Exit(130)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+}
+
+// runExperiments runs the ids in order through the internal/sim/report
+// registry and writes each report's text to stdout as it completes; the
+// golden test drives the same path. progress receives the campaign tickers.
+func runExperiments(ctx context.Context, ids []string, p report.Params, stdout, progress io.Writer) error {
+	r := report.NewRunner(p, progress)
 	for _, id := range ids {
 		rep, err := r.RunContext(ctx, id)
-		if errors.Is(err, context.Canceled) {
-			stopProf()
-			fmt.Fprintln(os.Stderr, "faultmc: interrupted")
-			os.Exit(130)
-		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return err
 		}
-		os.Stdout.WriteString(rep.Text)
+		io.WriteString(stdout, rep.Text)
 	}
+	return nil
 }

@@ -281,30 +281,19 @@ type EOLResult struct {
 	Fractions    []float64
 }
 
-// SimulateEOL runs trials independent 7-year (or custom-horizon) system
-// lifetimes and reports the fraction of memory whose bank pairs were marked
-// faulty — i.e. ended up with the actual ECC correction bits stored in
-// memory rather than ECC parities. Trials fan out over at most workers
+// SimulateEOLContext runs trials independent 7-year (or custom-horizon)
+// system lifetimes and reports the fraction of memory whose bank pairs were
+// marked faulty — i.e. ended up with the actual ECC correction bits stored
+// in memory rather than ECC parities. Trials fan out over at most workers
 // goroutines (≤0 means NumCPU); each trial's RNG derives from TrialSeed, so
-// the result is bit-identical at any worker count. It is the uninterruptible
-// form of SimulateEOLContext.
-func SimulateEOL(topo Topology, rates Rates, hours float64, trials int, seed int64, workers int) EOLResult {
-	res, err := SimulateEOLContext(context.Background(), topo, rates, hours, trials, seed, workers)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return res
-}
-
-// SimulateEOLContext is SimulateEOL with cancellation: the trial pool polls
-// ctx between trials and returns ctx's error once canceled, discarding any
-// partial campaign. A completed campaign is byte-identical to SimulateEOL.
+// the result is bit-identical at any worker count. Canceling ctx stops the
+// campaign between trials and returns ctx's error.
 func SimulateEOLContext(ctx context.Context, topo Topology, rates Rates, hours float64, trials int, seed int64, workers int) (EOLResult, error) {
 	if trials <= 0 {
 		return EOLResult{}, nil
 	}
 	m := NewModel(topo, rates)
-	fractions, err := parallel.CollectCtx(ctx, trials, workers, func(i int) float64 {
+	fractions, err := runTrials(ctx, trials, workers, func(i int) float64 {
 		rng := rand.New(rand.NewSource(TrialSeed(seed, i)))
 		faults := m.SampleLifetime(rng, hours)
 		marked := map[BankID]bool{}
@@ -339,23 +328,12 @@ func SimulateEOLContext(ctx context.Context, topo Topology, rates Rates, hours f
 	}, nil
 }
 
-// MeasureChannelFaultGaps runs a Monte Carlo estimate of the Fig. 2
-// quantity: the mean time between consecutive faults in different channels.
-// Trials fan out over at most workers goroutines (≤0 means NumCPU);
-// per-trial partial sums are reduced in trial order so the result is
-// bit-identical at any worker count. It is the uninterruptible form of
-// MeasureChannelFaultGapsContext.
-func MeasureChannelFaultGaps(fit float64, topo Topology, trials int, seed int64, workers int) float64 {
-	v, err := MeasureChannelFaultGapsContext(context.Background(), fit, topo, trials, seed, workers)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return v
-}
-
-// MeasureChannelFaultGapsContext is MeasureChannelFaultGaps with
-// cancellation: the trial pool polls ctx between trials and returns ctx's
-// error once canceled.
+// MeasureChannelFaultGapsContext runs a Monte Carlo estimate of the Fig. 2
+// quantity: the mean time between consecutive faults in different
+// channels. Trials fan out over at most workers goroutines (≤0 means
+// NumCPU); per-trial partial sums are reduced in trial order so the result
+// is bit-identical at any worker count. Canceling ctx stops the campaign
+// between trials and returns ctx's error.
 func MeasureChannelFaultGapsContext(ctx context.Context, fit float64, topo Topology, trials int, seed int64, workers int) (float64, error) {
 	m := NewModel(topo, DefaultRates().Scaled(fit))
 	// Long horizon so that most trials observe several faults.
@@ -364,7 +342,7 @@ func MeasureChannelFaultGapsContext(ctx context.Context, fit float64, topo Topol
 		sum float64
 		n   int
 	}
-	parts, err := parallel.CollectCtx(ctx, trials, workers, func(i int) gapSum {
+	parts, err := runTrials(ctx, trials, workers, func(i int) gapSum {
 		rng := rand.New(rand.NewSource(TrialSeed(seed, i)))
 		faults := m.SampleLifetime(rng, horizon)
 		// For each fault, the time until the NEXT fault in a different
@@ -395,4 +373,37 @@ func MeasureChannelFaultGapsContext(ctx context.Context, fit float64, topo Topol
 		return math.Inf(1), nil
 	}
 	return sum / float64(n), nil
+}
+
+// trialChunk is the number of consecutive trials one fan-out task runs. It
+// is a constant, never derived from the worker count, so the task set — and
+// with it every result — is the same at any worker count.
+const trialChunk = 64
+
+// runTrials runs trial(i) for every i in [0, trials) as one parallel.Shared
+// set of trialChunk-trial tasks joined with at most workers goroutines, and
+// returns the per-trial values in trial order for the caller to reduce.
+// ctx is polled between trials; a canceled campaign returns ctx's error,
+// and a panicking trial returns the captured panic as the error.
+func runTrials[T any](ctx context.Context, trials, workers int, trial func(i int) T) ([]T, error) {
+	chunks := (trials + trialChunk - 1) / trialChunk
+	parts, err := parallel.NewShared(chunks, func(ctx context.Context, c int) ([]T, error) {
+		lo, hi := c*trialChunk, min((c+1)*trialChunk, trials)
+		out := make([]T, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			out = append(out, trial(i))
+		}
+		return out, nil
+	}).Join(ctx, workers)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]T, 0, max(trials, 0))
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out, nil
 }

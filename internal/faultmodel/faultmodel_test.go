@@ -1,8 +1,11 @@
 package faultmodel
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -172,7 +175,7 @@ func TestMonteCarloMatchesAnalyticGap(t *testing.T) {
 	topo := PaperTopology(8)
 	fit := 2000.0 // inflated rate so trials are cheap
 	want := MeanTimeBetweenChannelFaults(fit, topo)
-	got := MeasureChannelFaultGaps(fit, topo, 60, 99, 1)
+	got := measureGaps(t, fit, topo, 60, 99, 1)
 	if math.Abs(got-want)/want > 0.15 {
 		t.Fatalf("MC gap %v, analytic %v", got, want)
 	}
@@ -206,7 +209,7 @@ func TestSimulateEOLPaperRange(t *testing.T) {
 	// Fig. 8: about 0.4% of memory on average ends up with correction bits
 	// after seven years for the paper's topology and rates.
 	topo := PaperTopology(8)
-	res := SimulateEOL(topo, DefaultRates(), 7*HoursPerYear, 4000, 11, 0)
+	res := simulateEOL(t, topo, 4000, 11, 0)
 	if res.MeanFraction < 0.001 || res.MeanFraction > 0.012 {
 		t.Fatalf("mean EOL fraction %v, expected order of 0.4%%", res.MeanFraction)
 	}
@@ -221,8 +224,8 @@ func TestSimulateEOLPaperRange(t *testing.T) {
 func TestSimulateEOLMoreChannelsMoreAbsoluteFaults(t *testing.T) {
 	// The FRACTION marked stays roughly flat across channel counts (each
 	// channel adds both faults and capacity); check it doesn't blow up.
-	r2 := SimulateEOL(PaperTopology(2), DefaultRates(), 7*HoursPerYear, 2000, 3, 0)
-	r16 := SimulateEOL(PaperTopology(16), DefaultRates(), 7*HoursPerYear, 2000, 3, 0)
+	r2 := simulateEOL(t, PaperTopology(2), 2000, 3, 0)
+	r16 := simulateEOL(t, PaperTopology(16), 2000, 3, 0)
 	if r16.MeanFraction > 5*r2.MeanFraction+0.01 {
 		t.Fatalf("fraction not stable: 2ch=%v 16ch=%v", r2.MeanFraction, r16.MeanFraction)
 	}
@@ -233,8 +236,8 @@ func TestSimulateEOLMoreChannelsMoreAbsoluteFaults(t *testing.T) {
 // run serially or spread over many goroutines.
 func TestSimulateEOLWorkerCountInvariance(t *testing.T) {
 	topo := PaperTopology(8)
-	serial := SimulateEOL(topo, DefaultRates(), 7*HoursPerYear, 600, 11, 1)
-	wide := SimulateEOL(topo, DefaultRates(), 7*HoursPerYear, 600, 11, 8)
+	serial := simulateEOL(t, topo, 600, 11, 1)
+	wide := simulateEOL(t, topo, 600, 11, 8)
 	if serial.MeanFraction != wide.MeanFraction || serial.P999Fraction != wide.P999Fraction {
 		t.Fatalf("workers=1 (%v/%v) diverged from workers=8 (%v/%v)",
 			serial.MeanFraction, serial.P999Fraction, wide.MeanFraction, wide.P999Fraction)
@@ -248,8 +251,8 @@ func TestSimulateEOLWorkerCountInvariance(t *testing.T) {
 
 func TestMeasureChannelFaultGapsWorkerCountInvariance(t *testing.T) {
 	topo := PaperTopology(8)
-	serial := MeasureChannelFaultGaps(2000, topo, 30, 99, 1)
-	wide := MeasureChannelFaultGaps(2000, topo, 30, 99, 8)
+	serial := measureGaps(t, 2000, topo, 30, 99, 1)
+	wide := measureGaps(t, 2000, topo, 30, 99, 8)
 	if serial != wide {
 		t.Fatalf("workers=1 gap %v diverged from workers=8 gap %v", serial, wide)
 	}
@@ -297,5 +300,74 @@ func TestUndetectedErrorYears(t *testing.T) {
 	got := UndetectedErrorYears(PaperTopology(8), DefaultRates(), 4)
 	if got < 3e4 || got > 3e7 {
 		t.Fatalf("undetected-error interval %v years, want order of 3e5", got)
+	}
+}
+
+// simulateEOL runs an uncanceled seven-year SimulateEOLContext campaign
+// over the default rates.
+func simulateEOL(t *testing.T, topo Topology, trials int, seed int64, workers int) EOLResult {
+	t.Helper()
+	res, err := SimulateEOLContext(context.Background(), topo, DefaultRates(), 7*HoursPerYear, trials, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// measureGaps runs an uncanceled MeasureChannelFaultGapsContext campaign.
+func measureGaps(t *testing.T, fit float64, topo Topology, trials int, seed int64, workers int) float64 {
+	t.Helper()
+	v, err := MeasureChannelFaultGapsContext(context.Background(), fit, topo, trials, seed, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// TestRunTrialsOrderAcrossChunks: per-trial values come back in trial
+// order at any worker count, including a partial last chunk.
+func TestRunTrialsOrderAcrossChunks(t *testing.T) {
+	for _, trials := range []int{0, 1, trialChunk, 2*trialChunk + 7} {
+		for _, workers := range []int{1, 3} {
+			got, err := runTrials(context.Background(), trials, workers, func(i int) int { return i * i })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != trials {
+				t.Fatalf("trials=%d workers=%d: %d values", trials, workers, len(got))
+			}
+			for i, v := range got {
+				if v != i*i {
+					t.Fatalf("trials=%d workers=%d: value %d = %d, want %d", trials, workers, i, v, i*i)
+				}
+			}
+		}
+	}
+}
+
+// TestRunTrialsStopsBetweenTrials: a cancel inside a chunk stops the
+// campaign at the next trial, and a panicking trial comes back as the
+// campaign's error instead of being re-raised.
+func TestRunTrialsStopsBetweenTrials(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := 0
+	_, err := runTrials(ctx, 4*trialChunk, 1, func(i int) int {
+		ran++
+		if i == 5 {
+			cancel()
+		}
+		return i
+	})
+	if !errors.Is(err, context.Canceled) || ran != 6 {
+		t.Fatalf("err = %v after %d trials, want context.Canceled after 6", err, ran)
+	}
+	_, err = runTrials(context.Background(), 100, 2, func(i int) int {
+		if i == 70 {
+			panic("kaboom")
+		}
+		return i
+	})
+	if err == nil || !strings.Contains(err.Error(), "panicked: kaboom") {
+		t.Fatalf("err = %v, want the captured panic", err)
 	}
 }

@@ -14,7 +14,7 @@ package faultmodel
 //   - reading raw (corrector bypassed), every error that fires is visible
 //     directly, which is HARP's case for a bypass-read profiling mode.
 //
-// ProfileHarp measures both curves round by round over a Monte Carlo
+// ProfileHarpContext measures both curves round by round over a Monte Carlo
 // campaign, with the same TrialSeed fan-out discipline as the EOL studies
 // so results are bit-identical at any worker count.
 
@@ -24,7 +24,6 @@ import (
 	"math/rand"
 
 	"eccparity/internal/dram"
-	"eccparity/internal/parallel"
 )
 
 // HarpConfig parameterizes one profiling campaign.
@@ -90,16 +89,6 @@ type harpAcc struct {
 	falseObs    int // active-read observations at never-at-risk positions
 }
 
-// ProfileHarp runs the campaign; it is the uninterruptible form of
-// ProfileHarpContext.
-func ProfileHarp(cfg HarpConfig) HarpResult {
-	res, err := ProfileHarpContext(context.Background(), cfg)
-	if err != nil {
-		panic(err) // Background is never canceled; cfg errors surface here
-	}
-	return res
-}
-
 // ProfileHarpContext runs the campaign with cancellation. Trials fan out
 // over at most cfg.Workers goroutines; each trial's RNG derives from
 // TrialSeed(cfg.Seed, trial) and partial counters reduce in trial order, so
@@ -109,7 +98,7 @@ func ProfileHarpContext(ctx context.Context, cfg HarpConfig) (HarpResult, error)
 		return HarpResult{}, err
 	}
 	codec := dram.NewOnDieSEC(harpWordBytes)
-	perTrial, err := parallel.CollectCtx(ctx, cfg.Trials, cfg.Workers, func(i int) []harpAcc {
+	perTrial, err := runTrials(ctx, cfg.Trials, cfg.Workers, func(i int) []harpAcc {
 		rng := rand.New(rand.NewSource(TrialSeed(cfg.Seed, i)))
 		return harpTrial(rng, codec, cfg)
 	})

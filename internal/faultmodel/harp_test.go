@@ -13,10 +13,20 @@ func harpCfg(workers int) HarpConfig {
 	}
 }
 
+// profileHarp runs an uncanceled ProfileHarpContext campaign.
+func profileHarp(t *testing.T, cfg HarpConfig) HarpResult {
+	t.Helper()
+	res, err := ProfileHarpContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // TestHarpDeterminism: the campaign is bit-identical at any worker count.
 func TestHarpDeterminism(t *testing.T) {
-	a := ProfileHarp(harpCfg(1))
-	b := ProfileHarp(harpCfg(8))
+	a := profileHarp(t, harpCfg(1))
+	b := profileHarp(t, harpCfg(8))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("harp campaign differs between 1 and 8 workers")
 	}
@@ -26,7 +36,7 @@ func TestHarpDeterminism(t *testing.T) {
 // the corrector hides single-bit fires — both curves are monotone
 // cumulative fractions, and active reads observe miscorrection artifacts.
 func TestHarpCoverage(t *testing.T) {
-	res := ProfileHarp(harpCfg(0))
+	res := profileHarp(t, harpCfg(0))
 	if len(res.Rounds) != 12 {
 		t.Fatalf("got %d rounds", len(res.Rounds))
 	}

@@ -1,9 +1,7 @@
 // Package jobqueue is the bounded work queue behind the eccsimd daemon:
-// submitted tasks run on a fixed pool of worker goroutines (the pool itself
-// is one parallel.ForEach fan-out, reusing the repo's standard pool
-// plumbing), every job carries an externally visible status, and the whole
-// queue drains gracefully on shutdown — no accepted job is ever lost or
-// reported twice.
+// submitted tasks run on a fixed pool of worker goroutines, every job
+// carries an externally visible status, and the whole queue drains
+// gracefully on shutdown — no accepted job is ever lost or reported twice.
 //
 // Dispatch is fair, not FIFO: jobs queue under a (submitter, group)
 // fairness key inside one of three priority classes (interactive > sweep >
@@ -14,10 +12,10 @@
 // interactive submitter behind it.
 //
 // A running sweep or batch job also lends its worker: at every task
-// boundary of a parallel.Shared set it joins (one simulation cell), it runs
-// at most one queued interactive job inline, then returns to its own work
-// (see lend). An interactive job therefore waits for one cell, not one
-// whole sweep point.
+// boundary of a parallel.Shared set it joins (one simulation cell, or one
+// chunk of Monte Carlo trials), it runs at most one queued interactive job
+// inline, then returns to its own work (see lend). An interactive job
+// therefore waits for one task, not one whole sweep point or campaign.
 package jobqueue
 
 import (
@@ -146,7 +144,6 @@ type Queue struct {
 	nextID   uint64
 	inflight int
 	counts   Counts
-	change   chan struct{}               // closed and replaced on every status transition
 	changeG  map[string]chan struct{}    // per-group transition channels (ChangedGroup)
 	dispatch chan struct{}               // closed and replaced whenever a job is queued (or on Close)
 	waitHist [numClasses]stats.Histogram // queue-wait ms per class
@@ -170,27 +167,29 @@ func New(capacity, workers int) *Queue {
 		jobs:     map[string]*job{},
 		groups:   map[string][]*job{},
 		capacity: capacity,
-		change:   make(chan struct{}),
 		changeG:  map[string]chan struct{}{},
 		dispatch: make(chan struct{}),
 		poolDone: make(chan struct{}),
 	}
 	q.baseCtx, q.baseCancel = context.WithCancel(context.Background())
+	// The pool is workers long-lived loops under the queue's base context,
+	// so a forced Drain cancels workers through the same plumbing that
+	// cancels the jobs. Task panics are captured per job inside run, so a
+	// bad job cannot kill a worker.
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			q.workerLoop(q.baseCtx)
+		}()
+	}
 	go func() {
-		defer close(q.poolDone)
-		// The pool is a parallel.ForEach with one long-lived loop per worker
-		// slot, running under the queue's base context so a forced Drain
-		// cancels workers through the same plumbing that cancels the jobs.
-		// Task panics are captured per job inside run, so the fan-out itself
-		// never errors and a bad job cannot kill the pool.
-		_ = parallel.ForEach(q.baseCtx, workers, workers, func(ctx context.Context, _ int) error {
-			q.workerLoop(ctx)
-			return nil
-		})
-		// If cancellation raced the pool's startup, ForEach may have exited
-		// before any worker ran its loop; sweep whatever is left so every
-		// accepted job still reaches a terminal state.
+		wg.Wait()
+		// Whichever way the workers stopped, every accepted job reaches a
+		// terminal state before the pool reports done.
 		q.sweepRemaining()
+		close(q.poolDone)
 	}()
 	return q
 }
@@ -412,13 +411,10 @@ func (q *Queue) finishLocked(j *job, s Status, res any, errMsg string) {
 	q.bumpLocked(j)
 }
 
-// bumpLocked wakes everyone blocked on Changed, plus — when the job is
-// grouped — everyone blocked on its group's ChangedGroup channel (mu held).
-// Ungrouped transitions never touch a group channel: that isolation is the
-// fix for the thundering-herd wakeups the global broadcast caused.
+// bumpLocked wakes everyone blocked on the job's group's ChangedGroup
+// channel (mu held). Ungrouped transitions wake nobody: a waiter on one job
+// uses Done, so no transition is a queue-wide broadcast.
 func (q *Queue) bumpLocked(j *job) {
-	close(q.change)
-	q.change = make(chan struct{})
 	if j.group != "" {
 		if ch, ok := q.changeG[j.group]; ok {
 			close(ch)
@@ -433,22 +429,14 @@ func (q *Queue) bumpDispatchLocked() {
 	q.dispatch = make(chan struct{})
 }
 
-// Changed returns a channel that is closed at the next job status
-// transition (queued→running or any terminal move), across all groups. Grab
-// the channel, read whatever state is of interest, then wait on it: the
-// close-and-replace discipline means no transition between the grab and the
-// wait is lost.
-func (q *Queue) Changed() <-chan struct{} {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.change
-}
-
-// ChangedGroup is Changed scoped to one group: the returned channel is
-// closed at the next status transition of a job submitted under that group,
-// and only then — transitions elsewhere in the queue do not touch it. A
-// sweep long-poller waiting on its own group is therefore never woken (and
-// never rescans its point list) because an unrelated job finished.
+// ChangedGroup returns a channel that is closed at the next status
+// transition (queued→running or any terminal move) of a job submitted under
+// group, and only then — transitions elsewhere in the queue do not touch it.
+// Grab the channel, read whatever state is of interest, then wait on it:
+// the close-and-replace discipline means no transition between the grab and
+// the wait is lost. A sweep long-poller waiting on its own group is
+// therefore never woken (and never rescans its point list) because an
+// unrelated job finished.
 func (q *Queue) ChangedGroup(group string) <-chan struct{} {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -488,8 +476,8 @@ func (q *Queue) Get(id string) (Snapshot, bool) {
 }
 
 // Done returns a channel that is closed once the job reaches a terminal
-// state, and whether the job exists. Unlike Changed, it fires for this job
-// alone: a long-poll on one job is not woken by every other transition.
+// state, and whether the job exists. It fires for this job alone: a
+// long-poll on one job is not woken by any other transition.
 func (q *Queue) Done(id string) (<-chan struct{}, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()

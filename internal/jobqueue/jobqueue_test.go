@@ -412,26 +412,34 @@ func TestForcedDrainReleasesBlockedPool(t *testing.T) {
 	}
 }
 
-// TestChangedSignalsTransitions pins the close-and-replace discipline: a
-// channel grabbed before a transition is closed by it, and a channel grabbed
-// after the last transition stays open.
+// TestChangedSignalsTransitions pins ChangedGroup's close-and-replace
+// discipline: a channel grabbed before a transition of the group's job is
+// closed by it, and a channel grabbed after the group's last transition
+// stays open.
 func TestChangedSignalsTransitions(t *testing.T) {
 	q := New(4, 1)
-	defer q.Drain(context.Background())
-	ch := q.Changed()
-	id, err := q.Submit(func(context.Context) (any, error) { return nil, nil })
+	defer drain(q)
+	ch := q.ChangedGroup("g")
+	started, release := make(chan struct{}), make(chan struct{})
+	id, err := q.SubmitGroup("g", func(ctx context.Context) (any, error) {
+		close(started)
+		hold(ctx, release)
+		return nil, nil
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-ch:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Changed channel never closed after a job transition")
+	await(t, started, "the job's start")
+	await(t, ch, "the group channel at the job's start")
+	ch = q.ChangedGroup("g")
+	close(release)
+	await(t, ch, "the group channel at the job's finish")
+	if s, _ := q.Get(id); !s.Status.Terminal() {
+		t.Fatalf("job is %s after its terminal transition closed the channel", s.Status)
 	}
-	waitTerminal(t, q, id)
 	select {
-	case <-q.Changed():
-		t.Fatal("Changed channel grabbed after the last transition is already closed")
+	case <-q.ChangedGroup("g"):
+		t.Fatal("group channel grabbed after the last transition is already closed")
 	default:
 	}
 }

@@ -10,25 +10,22 @@ import (
 	"eccparity/internal/parallel"
 )
 
-// awaitTerminal blocks on the queue's transition channel, not a polling
-// sleep, until job id is terminal.
+// awaitTerminal blocks on the job's Done channel, not a polling sleep,
+// until job id is terminal.
 func awaitTerminal(t *testing.T, q *Queue, id string) Snapshot {
 	t.Helper()
-	for {
-		ch := q.Changed()
-		s, ok := q.Get(id)
-		if !ok {
-			t.Fatalf("job %s disappeared", id)
-		}
-		if s.Status.Terminal() {
-			return s
-		}
-		select {
-		case <-ch:
-		case <-time.After(10 * time.Second):
-			t.Fatalf("job %s stuck in %s", id, s.Status)
-		}
+	done, ok := q.Done(id)
+	if !ok {
+		t.Fatalf("job %s does not exist", id)
 	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		s, _ := q.Get(id)
+		t.Fatalf("job %s stuck in %s", id, s.Status)
+	}
+	s, _ := q.Get(id)
+	return s
 }
 
 // await blocks until ch is closed, failing the test after 10 s: a

@@ -1,8 +1,10 @@
-// Package parallel provides the bounded worker-pool runner behind every
-// fan-out in this repository: the Monte Carlo campaigns of the fault model
-// (Figs. 2/8/18 and Table III's EOL columns run thousands of independent
-// lifetimes) and the (scheme × workload) simulation grids of the evaluation
-// (Figs. 9–17 run sixteen independent simulations per scheme).
+// Package parallel provides the one fan-out primitive of this repository,
+// Shared: a fixed set of independent tasks that any number of callers
+// complete together. Both kinds of independent work in the evaluation run
+// on it — the Monte Carlo campaigns of the fault model (Figs. 2/8 and Table
+// III's EOL columns run thousands of independent lifetimes, in fixed-size
+// trial chunks) and the (scheme × workload) simulation grids (Figs. 9–17
+// run sixteen independent simulations per scheme).
 //
 // The contract that matters for reproducibility: tasks are identified by
 // index, results are collected in index order, and nothing a task computes
@@ -14,12 +16,9 @@ package parallel
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 )
 
 // Workers clamps a requested worker count to [1, n]: values ≤ 0 select
@@ -37,61 +36,6 @@ func Workers(requested, n int) int {
 	return requested
 }
 
-// Map runs fn(ctx, i) for every i in [0, n) on at most workers goroutines
-// and returns the n results in index order. The first error — or the first
-// captured panic, converted to an error carrying the task index and stack —
-// cancels the context seen by the remaining tasks and is returned after all
-// running tasks drain. Tasks not yet started when the failure occurs are
-// skipped (their result slots keep T's zero value).
-func Map[T any](ctx context.Context, n, workers int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
-	if n <= 0 {
-		return nil, nil
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	workers = Workers(workers, n)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	results := make([]T, n)
-	var next atomic.Int64
-	var firstErr error
-	var failOnce sync.Once
-	fail := func(err error) {
-		failOnce.Do(func() {
-			firstErr = err
-			cancel()
-		})
-	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := ctx.Err(); err != nil {
-					fail(err)
-					return
-				}
-				res, err := capture(ctx, i, fn)
-				if err != nil {
-					fail(err)
-					return
-				}
-				results[i] = res
-			}
-		}()
-	}
-	wg.Wait()
-	return results, firstErr
-}
-
 // capture invokes fn for one task, converting a panic into an error so a
 // single bad task cannot kill the whole campaign's process.
 func capture[T any](ctx context.Context, i int, fn func(ctx context.Context, i int) (T, error)) (out T, err error) {
@@ -101,44 +45,4 @@ func capture[T any](ctx context.Context, i int, fn func(ctx context.Context, i i
 		}
 	}()
 	return fn(ctx, i)
-}
-
-// Collect is Map for infallible tasks: no context, no errors. It is the
-// form the Monte Carlo and simulation grids use. A panic inside fn is
-// re-raised in the caller (wrapped with the task index and stack).
-func Collect[T any](n, workers int, fn func(i int) T) []T {
-	out, err := CollectCtx(context.Background(), n, workers, fn)
-	if err != nil {
-		// Background is never canceled, so this is unreachable; keep the
-		// panic-restore contract anyway.
-		panic(err)
-	}
-	return out
-}
-
-// CollectCtx is Collect with cancellation: infallible tasks, but the pool
-// polls ctx between tasks and returns ctx's error once it is canceled (the
-// result slice is partial and must be discarded). Tasks themselves are
-// short by contract — one Monte Carlo trial, one grid cell — so the
-// between-task poll bounds how long a cancel can be outstanding; long
-// tasks (e.g. sim.RunContext cells) additionally poll ctx internally. A
-// panic inside fn is re-raised in the caller, as in Collect.
-func CollectCtx[T any](ctx context.Context, n, workers int, fn func(i int) T) ([]T, error) {
-	out, err := Map(ctx, n, workers, func(_ context.Context, i int) (T, error) {
-		return fn(i), nil
-	})
-	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-		// fn returns no errors, so anything else is a captured panic.
-		panic(err)
-	}
-	return out, err
-}
-
-// ForEach runs fn over [0, n) with Map's pooling, cancellation and panic
-// capture, discarding results.
-func ForEach(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, n, workers, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

@@ -2,147 +2,9 @@ package parallel
 
 import (
 	"bytes"
-	"context"
-	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 )
-
-func TestMapOrderedResults(t *testing.T) {
-	for _, workers := range []int{1, 3, 8, 100} {
-		got, err := Map(context.Background(), 57, workers, func(_ context.Context, i int) (int, error) {
-			return i * i, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 57 {
-			t.Fatalf("workers=%d: %d results", workers, len(got))
-		}
-		for i, v := range got {
-			if v != i*i {
-				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, i*i)
-			}
-		}
-	}
-}
-
-func TestMapBoundedConcurrency(t *testing.T) {
-	const workers = 3
-	var inFlight, peak atomic.Int64
-	_, err := Map(context.Background(), 40, workers, func(_ context.Context, i int) (struct{}, error) {
-		cur := inFlight.Add(1)
-		for {
-			p := peak.Load()
-			if cur <= p || peak.CompareAndSwap(p, cur) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		inFlight.Add(-1)
-		return struct{}{}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := peak.Load(); p > workers {
-		t.Fatalf("observed %d concurrent tasks, bound is %d", p, workers)
-	}
-}
-
-func TestMapZeroTasks(t *testing.T) {
-	got, err := Map(context.Background(), 0, 4, func(_ context.Context, i int) (int, error) {
-		t.Fatal("must not run")
-		return 0, nil
-	})
-	if err != nil || got != nil {
-		t.Fatalf("got %v, %v", got, err)
-	}
-}
-
-func TestMapErrorCancelsRemaining(t *testing.T) {
-	boom := errors.New("boom")
-	var ran atomic.Int64
-	_, err := Map(context.Background(), 1000, 2, func(ctx context.Context, i int) (int, error) {
-		ran.Add(1)
-		if i == 3 {
-			return 0, boom
-		}
-		return i, nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if n := ran.Load(); n >= 1000 {
-		t.Fatalf("error did not cancel the campaign: %d tasks ran", n)
-	}
-}
-
-func TestMapPanicCaptured(t *testing.T) {
-	_, err := Map(context.Background(), 10, 4, func(_ context.Context, i int) (int, error) {
-		if i == 5 {
-			panic("kaboom")
-		}
-		return i, nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "task 5 panicked: kaboom") {
-		t.Fatalf("panic not captured: %v", err)
-	}
-}
-
-func TestMapContextCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	var ran atomic.Int64
-	_, err := Map(ctx, 100, 4, func(_ context.Context, i int) (int, error) {
-		ran.Add(1)
-		return i, nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if ran.Load() != 0 {
-		t.Fatalf("%d tasks ran under a cancelled context", ran.Load())
-	}
-}
-
-func TestCollect(t *testing.T) {
-	got := Collect(9, 4, func(i int) string { return strings.Repeat("x", i) })
-	for i, s := range got {
-		if len(s) != i {
-			t.Fatalf("result[%d] = %q", i, s)
-		}
-	}
-}
-
-func TestCollectRepanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Collect must re-raise task panics")
-		}
-	}()
-	Collect(4, 2, func(i int) int {
-		if i == 2 {
-			panic("inner")
-		}
-		return i
-	})
-}
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(context.Background(), 100, 8, func(_ context.Context, i int) error {
-		sum.Add(int64(i))
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 4950 {
-		t.Fatalf("sum = %d", sum.Load())
-	}
-}
 
 func TestWorkersClamp(t *testing.T) {
 	if w := Workers(0, 10); w < 1 {

@@ -7,12 +7,12 @@ import (
 
 // Shared is a fixed set of n independent tasks that any number of callers
 // complete together. Each Join claims tasks nobody has started and runs up
-// to its workers of them at once — Map's fan-out — and, once nothing is
-// left to claim, waits for the tasks other callers are running. A caller
-// whose context is canceled mid-task hands that task back for the remaining
-// callers, so the set completes as long as one caller stays, and because a
-// task's result depends only on its index, the completed results are the
-// same whichever caller ran each task.
+// to its workers of them at once, and once nothing is left to claim, waits
+// for the tasks other callers are running. A caller whose context is
+// canceled mid-task hands that task back for the remaining callers, so the
+// set completes as long as one caller stays, and because a task's result
+// depends only on its index, the completed results are the same whichever
+// caller ran each task.
 //
 // A task error that is not its caller's own cancellation (a failure, or a
 // captured panic) fails the whole set: every Join returns it.

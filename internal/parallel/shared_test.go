@@ -6,7 +6,92 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// TestSharedOrderedResults: a single caller gets every task's result in
+// index order at any worker count.
+func TestSharedOrderedResults(t *testing.T) {
+	for _, workers := range []int{1, 3, 8, 100} {
+		got, err := NewShared(57, func(_ context.Context, i int) (int, error) {
+			return i * i, nil
+		}).Join(context.Background(), workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 57 {
+			t.Fatalf("workers=%d: %d results", workers, len(got))
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: result[%d] = %d, want %d", workers, i, v, i*i)
+			}
+		}
+	}
+}
+
+// TestSharedBoundedConcurrency: one caller never runs more than its
+// workers tasks at once.
+func TestSharedBoundedConcurrency(t *testing.T) {
+	const workers = 3
+	var inFlight, peak atomic.Int64
+	_, err := NewShared(40, func(_ context.Context, i int) (struct{}, error) {
+		cur := inFlight.Add(1)
+		for {
+			p := peak.Load()
+			if cur <= p || peak.CompareAndSwap(p, cur) {
+				break
+			}
+		}
+		time.Sleep(time.Millisecond)
+		inFlight.Add(-1)
+		return struct{}{}, nil
+	}).Join(context.Background(), workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); p > workers {
+		t.Fatalf("observed %d concurrent tasks, bound is %d", p, workers)
+	}
+}
+
+// TestSharedErrorStopsRemaining: a task error fails the set, and no
+// further task is claimed after it.
+func TestSharedErrorStopsRemaining(t *testing.T) {
+	boom := errors.New("boom")
+	var ran atomic.Int64
+	_, err := NewShared(1000, func(_ context.Context, i int) (int, error) {
+		ran.Add(1)
+		if i == 3 {
+			return 0, boom
+		}
+		return i, nil
+	}).Join(context.Background(), 2)
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if n := ran.Load(); n >= 1000 {
+		t.Fatalf("error did not stop the set: %d tasks ran", n)
+	}
+}
+
+// TestSharedContextCancellation: a caller whose context is already
+// canceled runs no task and returns ctx's error.
+func TestSharedContextCancellation(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var ran atomic.Int64
+	_, err := NewShared(100, func(_ context.Context, i int) (int, error) {
+		ran.Add(1)
+		return i, nil
+	}).Join(ctx, 4)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if ran.Load() != 0 {
+		t.Fatalf("%d tasks ran under a canceled context", ran.Load())
+	}
+}
 
 // TestSharedHandBack: a caller canceled mid-task hands the task back, and
 // the caller that stays runs it and completes the set.
@@ -64,8 +149,9 @@ func TestSharedHandBack(t *testing.T) {
 	}
 }
 
-// TestSharedFailure: a task failure (here a panic) fails the set for every
-// caller, and an empty set completes at once.
+// TestSharedFailure: a task failure (here a panic, captured with its task
+// index) fails the set for every caller, and an empty set completes at
+// once without running anything.
 func TestSharedFailure(t *testing.T) {
 	s := NewShared(8, func(_ context.Context, i int) (int, error) {
 		if i == 3 {
@@ -74,11 +160,14 @@ func TestSharedFailure(t *testing.T) {
 		return i, nil
 	})
 	for range 2 {
-		if _, err := s.Join(context.Background(), 2); err == nil || !strings.Contains(err.Error(), "task 3 panicked") {
+		if _, err := s.Join(context.Background(), 2); err == nil || !strings.Contains(err.Error(), "task 3 panicked: kaboom") {
 			t.Fatalf("err = %v, want the captured panic", err)
 		}
 	}
-	if res, err := NewShared(0, func(context.Context, int) (int, error) { return 0, nil }).Join(context.Background(), 4); err != nil || len(res) != 0 {
+	if res, err := NewShared(0, func(context.Context, int) (int, error) {
+		t.Fatal("must not run")
+		return 0, nil
+	}).Join(context.Background(), 4); err != nil || len(res) != 0 {
 		t.Fatalf("empty set: %v, %v", res, err)
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"eccparity/internal/jobqueue"
 	"eccparity/pkg/api"
 )
 
@@ -115,15 +114,21 @@ func TestJobLongPollWindowExpires(t *testing.T) {
 	s, ts := newServer(t, Options{Workers: 1, JobWorkers: 1})
 	release := make(chan struct{})
 	defer close(release)
-	running := heldJob(t, s, release)
-	queued := heldJob(t, s, release)
-	for {
-		changed := s.queue.Changed()
-		if snap, _ := s.queue.Get(running); snap.Status == jobqueue.StatusRunning {
-			break
+	started := make(chan struct{})
+	running, err := s.queue.Submit(func(ctx context.Context) (any, error) {
+		close(started)
+		select {
+		case <-release:
+			return "held", nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		<-changed
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	queued := heldJob(t, s, release)
+	<-started
 	const window = 40 * time.Millisecond
 	for id, want := range map[string]string{running: api.StatusRunning, queued: api.StatusQueued} {
 		code, js, took := getJob(t, ts.URL+"/v1/jobs/"+id+"?wait="+window.String())

@@ -179,7 +179,7 @@ func (a *Arena) prepare(cfg Config) *engine {
 	return e
 }
 
-// arenaPool backs the package-level Run/RunContext entry points, so even
+// arenaPool backs the package-level RunContext entry point, so even
 // callers that never touch the Arena API (the grid runners' worker cells,
 // single-job daemon computes) reuse engine state across runs on the same
 // goroutine-processor.

@@ -63,42 +63,6 @@ type Evaluation struct {
 	Results map[string]map[string]Result // scheme key → workload → result
 }
 
-// NewEvaluation runs the matrix for the given schemes and workloads; nil
-// slices mean PaperSchemes and all workloads. It is the uninterruptible
-// form of EvaluationContext; prefer New(...).Evaluate for new code.
-func NewEvaluation(class SystemClass, schemeKeys, workloads []string, opts ...Option) *Evaluation {
-	ev, err := EvaluationContext(context.Background(), class, schemeKeys, workloads, opts...)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return ev
-}
-
-// EvaluationContext runs the (scheme × workload) matrix with cancellation;
-// nil schemeKeys mean PaperSchemes and nil workloads mean all. The cells
-// are independent simulations, so they fan out over a bounded worker pool
-// (WithWorkers; default NumCPU) — each cell's randomness derives only from
-// its own Config, so a completed matrix is bit-identical at any worker
-// count. Canceling ctx interrupts the in-flight cells at the engine's
-// checkpoint interval and returns ctx's error; the partial matrix is
-// discarded.
-func EvaluationContext(ctx context.Context, class SystemClass, schemeKeys, workloads []string, opts ...Option) (*Evaluation, error) {
-	var schemes []SchemeConfig
-	if schemeKeys != nil {
-		schemes = make([]SchemeConfig, len(schemeKeys))
-		for i, k := range schemeKeys {
-			schemes[i] = SchemeByKey(k)
-		}
-	}
-	return evaluate(ctx, class, schemes, workloads, opts)
-}
-
-// evaluate runs the matrix over resolved configurations as its one caller;
-// nil schemes mean PaperSchemes and nil workloads mean all.
-func evaluate(ctx context.Context, class SystemClass, schemes []SchemeConfig, workloads []string, opts []Option) (*Evaluation, error) {
-	return newMatrix(class, schemes, workloads, opts).join(ctx)
-}
-
 // Matrix is one system class's (scheme × workload) evaluation laid out as
 // independent cells: RunCell simulates one, and Evaluation assembles the
 // finished results. A cell's result depends only on its own Config, so any
@@ -116,13 +80,8 @@ type Matrix struct {
 // Matrix lays out the (scheme × workload) matrix for a system class with
 // the Sim's options; nil schemes mean PaperSchemes and nil workloads mean
 // all. Results are keyed by each configuration's Key, so a parameterized
-// variant from SchemeVariant runs like any table entry. A cell selected
-// with WithCell is ignored here — the grid enumerates its own cells.
+// variant from SchemeVariant runs like any table entry.
 func (s *Sim) Matrix(class SystemClass, schemes []SchemeConfig, workloads []string) *Matrix {
-	return newMatrix(class, schemes, workloads, s.opts)
-}
-
-func newMatrix(class SystemClass, schemes []SchemeConfig, workloads []string, opts []Option) *Matrix {
 	if schemes == nil {
 		for _, k := range PaperSchemes {
 			schemes = append(schemes, SchemeByKey(k))
@@ -135,7 +94,7 @@ func newMatrix(class SystemClass, schemes []SchemeConfig, workloads []string, op
 	for _, sc := range schemes {
 		for _, wl := range workloads {
 			cfg := cellConfig(sc, class, wl)
-			for _, o := range opts {
+			for _, o := range s.opts {
 				o(&cfg)
 			}
 			m.keys = append(m.keys, [2]string{sc.Key, wl})
@@ -162,15 +121,6 @@ func (m *Matrix) RunCell(ctx context.Context, i int) (Result, error) {
 	}
 	m.prog.Step()
 	return r, nil
-}
-
-// join fills the matrix as its one caller.
-func (m *Matrix) join(ctx context.Context) (*Evaluation, error) {
-	results, err := parallel.NewShared(m.Cells(), m.RunCell).Join(ctx, m.workers)
-	if err != nil {
-		return nil, err
-	}
-	return m.Evaluation(results), nil
 }
 
 // Evaluation assembles the matrix from every cell's result, in cell order.
@@ -345,40 +295,9 @@ type Fig9Row struct {
 	Bin2        bool
 }
 
-// Fig9Bandwidth characterizes the workloads on the dual-channel commercial
-// chipkill system, as the paper does. It is the uninterruptible form of
-// Fig9BandwidthContext.
-func Fig9Bandwidth(opts ...Option) []Fig9Row {
-	rows, err := Fig9BandwidthContext(context.Background(), opts...)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return rows
-}
-
-// Fig9BandwidthContext characterizes the workloads with cancellation. The
-// sixteen per-workload simulations fan out over the worker pool
-// (WithWorkers), results in spec order; canceling ctx interrupts the
-// in-flight runs at the engine's checkpoint interval.
-func Fig9BandwidthContext(ctx context.Context, opts ...Option) ([]Fig9Row, error) {
-	ev, err := fig9Matrix(opts).join(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return ev.Fig9Rows(), nil
-}
-
-// Fig9Matrix lays out the Fig. 9 characterization with the Sim's options:
-// the commercial chipkill scheme on the dual-channel system, one cell per
-// workload. Its Evaluation's Fig9Rows are the figure's rows.
-func (s *Sim) Fig9Matrix() *Matrix { return fig9Matrix(s.opts) }
-
-func fig9Matrix(opts []Option) *Matrix {
-	return newMatrix(DualEq, []SchemeConfig{SchemeByKey("chipkill36")}, nil, opts)
-}
-
 // Fig9Rows reads the bandwidth characterization, in workload spec order,
-// from the chipkill36 cells of a dual-channel evaluation (Fig9Matrix).
+// from the chipkill36 cells of a dual-channel evaluation: the paper
+// characterizes the workloads on the commercial chipkill system.
 func (ev *Evaluation) Fig9Rows() []Fig9Row {
 	ck := ev.Results["chipkill36"]
 	rows := make([]Fig9Row, 0, len(ck))
@@ -414,16 +333,6 @@ type Table3Row struct {
 	Config   string
 	Overhead float64
 	EOL      float64 // zero when not applicable
-}
-
-// Table3Capacity regenerates Table III. It is the uninterruptible form of
-// Table3CapacityContext.
-func Table3Capacity(mcTrials int, seed int64, workers int) []Table3Row {
-	rows, err := Table3CapacityContext(context.Background(), mcTrials, seed, workers)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return rows
 }
 
 // Table3CapacityContext regenerates Table III with cancellation. The EOL
@@ -494,19 +403,10 @@ type Fig8Row struct {
 	P999     float64
 }
 
-// Fig8EOLFractions regenerates Fig. 8 across channel counts. It is the
-// uninterruptible form of Fig8EOLFractionsContext.
-func Fig8EOLFractions(trials int, seed int64, workers int) []Fig8Row {
-	rows, err := Fig8EOLFractionsContext(context.Background(), trials, seed, workers)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return rows
-}
-
-// Fig8EOLFractionsContext regenerates Fig. 8 with cancellation; each
-// channel count's Monte Carlo trials fan out over at most workers
-// goroutines (≤0 = NumCPU) with worker-count-invariant results.
+// Fig8EOLFractionsContext regenerates Fig. 8 across channel counts with
+// cancellation; each channel count's Monte Carlo trials fan out over at
+// most workers goroutines (≤0 = NumCPU) with worker-count-invariant
+// results.
 func Fig8EOLFractionsContext(ctx context.Context, trials int, seed int64, workers int) ([]Fig8Row, error) {
 	rows := []Fig8Row{}
 	for _, n := range []int{2, 4, 8, 16} {

@@ -6,68 +6,65 @@ import (
 	"testing"
 )
 
-// TestNewValidCell checks the happy path: a Sim built from a known cell
-// runs to completion and produces the same Result as the legacy Run(cfg)
-// entry point with an identical configuration.
+// TestNewValidCell checks the happy path: a Sim built from valid options
+// evaluates a one-cell grid to the same Result as RunContext on an
+// identical configuration.
 func TestNewValidCell(t *testing.T) {
-	s, err := New(
-		WithCell("chipkill18", QuadEq, "mcf"),
-		WithCycles(20000),
-		WithWarmup(2000),
-	)
+	s, err := New(WithCycles(20000), WithWarmup(2000))
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	got, err := s.Run(context.Background())
+	ev, err := s.Evaluate(context.Background(), QuadEq, []SchemeConfig{SchemeByKey("chipkill18")}, []string{"mcf"})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Evaluate: %v", err)
 	}
 
 	cfg := DefaultConfig("chipkill18", QuadEq, "mcf")
 	cfg.MeasureCycles = 20000
 	cfg.WarmupAccesses = 2000
-	want := Run(cfg)
-	if got != want {
-		t.Fatalf("Sim.Run diverged from legacy Run:\n got %+v\nwant %+v", got, want)
+	want, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatalf("RunContext: %v", err)
+	}
+	if got := ev.Results["chipkill18"]["mcf"]; got != want {
+		t.Fatalf("Sim.Evaluate diverged from RunContext:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestNewRejectsUnknownCell checks that a failed option surfaces from New
-// as a typed *ConfigError instead of the panic the legacy path raised.
+// TestNewRejectsUnknownCell checks that a cell the engine cannot run
+// surfaces as a typed *ConfigError instead of a panic: an unknown scheme
+// key from SchemeVariant, an unknown workload from Evaluate, and a bad
+// budget from New.
 func TestNewRejectsUnknownCell(t *testing.T) {
+	evaluate := func(workload string) error {
+		s, err := New()
+		if err != nil {
+			return err
+		}
+		_, err = s.Evaluate(context.Background(), QuadEq, []SchemeConfig{SchemeByKey("chipkill18")}, []string{workload})
+		return err
+	}
 	cases := []struct {
 		name  string
-		opts  []Option
+		err   func() error
 		field string
 	}{
-		{"unknown scheme", []Option{WithCell("nope", QuadEq, "mcf")}, "Scheme"},
-		{"unknown workload", []Option{WithCell("chipkill18", QuadEq, "nope")}, "Workload"},
-		{"zero cycles", []Option{WithCell("chipkill18", QuadEq, "mcf"), WithCycles(0)}, "MeasureCycles"},
-		{"negative warmup", []Option{WithCell("chipkill18", QuadEq, "mcf"), WithWarmup(-1)}, "WarmupAccesses"},
+		{"unknown scheme", func() error { _, err := SchemeVariant("nope", ""); return err }, "scheme"},
+		{"unknown workload", func() error { return evaluate("nope") }, "Workload"},
+		{"zero cycles", func() error { _, err := New(WithCycles(0)); return err }, "MeasureCycles"},
+		{"negative warmup", func() error { _, err := New(WithWarmup(-1)); return err }, "WarmupAccesses"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := New(tc.opts...)
+			err := tc.err()
 			var ce *ConfigError
 			if !errors.As(err, &ce) {
-				t.Fatalf("New error = %v, want *ConfigError", err)
+				t.Fatalf("error = %v, want *ConfigError", err)
 			}
 			if ce.Field != tc.field {
 				t.Fatalf("ConfigError.Field = %q, want %q", ce.Field, tc.field)
 			}
 		})
-	}
-}
-
-// TestNewRunWithoutCell checks that Run on a Sim with no cell selected
-// fails with a ConfigError rather than dereferencing a nil scheme.
-func TestNewRunWithoutCell(t *testing.T) {
-	s, err := New()
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	if _, err := s.Run(context.Background()); err == nil {
-		t.Fatal("Run without a cell succeeded, want ConfigError")
 	}
 }
 
@@ -87,11 +84,14 @@ func TestRunContextCancel(t *testing.T) {
 // TestEvaluationContextCancel checks that a grid evaluation propagates
 // cancellation instead of returning a partially filled Evaluation.
 func TestEvaluationContextCancel(t *testing.T) {
+	s, err := New(WithCycles(1e9))
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := EvaluationContext(ctx, QuadEq, []string{"chipkill18"}, []string{"mcf"},
-		WithCycles(1e9))
+	_, err = s.Evaluate(ctx, QuadEq, []SchemeConfig{SchemeByKey("chipkill18")}, []string{"mcf"})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("EvaluationContext on canceled ctx = %v, want context.Canceled", err)
+		t.Fatalf("Evaluate on canceled ctx = %v, want context.Canceled", err)
 	}
 }

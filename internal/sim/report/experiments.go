@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"sort"
@@ -25,14 +26,14 @@ var registry = map[string]spec{
 	"table2":     {source: "eccsim", title: "Table II — evaluated ECC configurations", run: table2},
 	"table3":     {source: "eccsim", title: "Table III — capacity overheads", run: table3},
 	"fig9":       {source: "eccsim", title: "Fig. 9 — workload bandwidth utilization", run: fig9},
-	"fig10":      {source: "eccsim", title: "Fig. 10 — memory EPI reduction (quad)", run: func(r *Runner, w io.Writer) (any, error) { return figEPI(r, w, sim.QuadEq) }},
-	"fig11":      {source: "eccsim", title: "Fig. 11 — memory EPI reduction (dual)", run: func(r *Runner, w io.Writer) (any, error) { return figEPI(r, w, sim.DualEq) }},
+	"fig10":      {source: "eccsim", title: "Fig. 10 — memory EPI reduction (quad)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figEPI(ctx, r, w, sim.QuadEq) }},
+	"fig11":      {source: "eccsim", title: "Fig. 11 — memory EPI reduction (dual)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figEPI(ctx, r, w, sim.DualEq) }},
 	"fig12":      {source: "eccsim", title: "Fig. 12 — dynamic EPI reduction (quad)", run: figDyn},
 	"fig13":      {source: "eccsim", title: "Fig. 13 — background EPI reduction (quad)", run: figBg},
-	"fig14":      {source: "eccsim", title: "Fig. 14 — performance normalized (quad)", run: func(r *Runner, w io.Writer) (any, error) { return figPerf(r, w, sim.QuadEq) }},
-	"fig15":      {source: "eccsim", title: "Fig. 15 — performance normalized (dual)", run: func(r *Runner, w io.Writer) (any, error) { return figPerf(r, w, sim.DualEq) }},
-	"fig16":      {source: "eccsim", title: "Fig. 16 — accesses per instruction normalized (quad)", run: func(r *Runner, w io.Writer) (any, error) { return figAcc(r, w, sim.QuadEq) }},
-	"fig17":      {source: "eccsim", title: "Fig. 17 — accesses per instruction normalized (dual)", run: func(r *Runner, w io.Writer) (any, error) { return figAcc(r, w, sim.DualEq) }},
+	"fig14":      {source: "eccsim", title: "Fig. 14 — performance normalized (quad)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figPerf(ctx, r, w, sim.QuadEq) }},
+	"fig15":      {source: "eccsim", title: "Fig. 15 — performance normalized (dual)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figPerf(ctx, r, w, sim.DualEq) }},
+	"fig16":      {source: "eccsim", title: "Fig. 16 — accesses per instruction normalized (quad)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figAcc(ctx, r, w, sim.QuadEq) }},
+	"fig17":      {source: "eccsim", title: "Fig. 17 — accesses per instruction normalized (dual)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figAcc(ctx, r, w, sim.DualEq) }},
 	"counters":   {source: "eccsim", title: "§III-E — error-counter SRAM budget", run: counters},
 	"hpcstall":   {source: "eccsim", title: "§VI-B — HPC system stall estimate", run: hpcStall},
 	"undetected": {source: "eccsim", title: "§VI-D — undetectable error estimate", run: undetected},
@@ -64,7 +65,7 @@ func (r *Runner) stage(format string, args ...any) func() {
 	}
 }
 
-func fig1(r *Runner, w io.Writer) (any, error) {
+func fig1(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "Fig. 1 — capacity overhead breakdown (detection vs correction bits)")
 	rows := sim.Fig1CapacityBreakdown()
 	for _, r := range rows {
@@ -74,7 +75,7 @@ func fig1(r *Runner, w io.Writer) (any, error) {
 	return rows, nil
 }
 
-func table1(r *Runner, w io.Writer) (any, error) {
+func table1(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "Table I — processor microarchitecture")
 	p := cpu.DefaultParams()
 	fmt.Fprintf(w, "Issue width %d | bounded MLP %d | LLC hit %d cycles | 8 cores, 2GHz\n",
@@ -90,7 +91,7 @@ type Table2Row struct {
 	Geometry ecc.Geometry `json:"geometry"`
 }
 
-func table2(r *Runner, w io.Writer) (any, error) {
+func table2(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "Table II — evaluated ECC configurations")
 	fmt.Fprintf(w, "%-32s %-14s %5s %10s %9s %9s\n", "", "Rank", "Line", "Ranks/Chan", "Channels", "I/O pins")
 	rows := []Table2Row{}
@@ -105,9 +106,9 @@ func table2(r *Runner, w io.Writer) (any, error) {
 	return rows, nil
 }
 
-func table3(r *Runner, w io.Writer) (any, error) {
+func table3(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "Table III — capacity overheads (EOL = end of life)")
-	rows, err := sim.Table3CapacityContext(r.ctx, r.p.Trials, r.p.Seed, r.p.Workers)
+	rows, err := sim.Table3CapacityContext(ctx, r.p.Trials, r.p.Seed, r.p.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -121,9 +122,9 @@ func table3(r *Runner, w io.Writer) (any, error) {
 	return rows, nil
 }
 
-func fig9(r *Runner, w io.Writer) (any, error) {
+func fig9(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "Fig. 9 — workload bandwidth utilization (dual-channel commercial ECC)")
-	rows, err := r.fig9Rows()
+	rows, err := r.fig9Rows(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -203,9 +204,9 @@ type ComparisonPair struct {
 	RAIM   sim.Comparison `json:"raim"`
 }
 
-func figEPI(r *Runner, w io.Writer, class sim.SystemClass) (any, error) {
+func figEPI(ctx context.Context, r *Runner, w io.Writer, class sim.SystemClass) (any, error) {
 	header(w, fmt.Sprintf("Fig. %s — memory EPI reduction, %s systems", figNo(class, "10", "11"), class))
-	ev, err := r.eval(class)
+	ev, err := r.eval(ctx, class)
 	if err != nil {
 		return nil, err
 	}
@@ -217,9 +218,9 @@ func figEPI(r *Runner, w io.Writer, class sim.SystemClass) (any, error) {
 	return data, nil
 }
 
-func figDyn(r *Runner, w io.Writer) (any, error) {
+func figDyn(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "Fig. 12 — dynamic EPI reduction, quad-equivalent systems")
-	ev, err := r.eval(sim.QuadEq)
+	ev, err := r.eval(ctx, sim.QuadEq)
 	if err != nil {
 		return nil, err
 	}
@@ -230,9 +231,9 @@ func figDyn(r *Runner, w io.Writer) (any, error) {
 	return data, nil
 }
 
-func figBg(r *Runner, w io.Writer) (any, error) {
+func figBg(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "Fig. 13 — background EPI reduction, quad-equivalent systems")
-	ev, err := r.eval(sim.QuadEq)
+	ev, err := r.eval(ctx, sim.QuadEq)
 	if err != nil {
 		return nil, err
 	}
@@ -241,9 +242,9 @@ func figBg(r *Runner, w io.Writer) (any, error) {
 	return data, nil
 }
 
-func figPerf(r *Runner, w io.Writer, class sim.SystemClass) (any, error) {
+func figPerf(ctx context.Context, r *Runner, w io.Writer, class sim.SystemClass) (any, error) {
 	header(w, fmt.Sprintf("Fig. %s — performance normalized to baselines, %s systems", figNo(class, "14", "15"), class))
-	ev, err := r.eval(class)
+	ev, err := r.eval(ctx, class)
 	if err != nil {
 		return nil, err
 	}
@@ -254,9 +255,9 @@ func figPerf(r *Runner, w io.Writer, class sim.SystemClass) (any, error) {
 	return data, nil
 }
 
-func figAcc(r *Runner, w io.Writer, class sim.SystemClass) (any, error) {
+func figAcc(ctx context.Context, r *Runner, w io.Writer, class sim.SystemClass) (any, error) {
 	header(w, fmt.Sprintf("Fig. %s — memory accesses per instruction normalized (lower is better), %s systems", figNo(class, "16", "17"), class))
-	ev, err := r.eval(class)
+	ev, err := r.eval(ctx, class)
 	if err != nil {
 		return nil, err
 	}
@@ -278,7 +279,7 @@ type CountersData struct {
 	MaxRetiredPages int `json:"max_retired_pages"`
 }
 
-func counters(r *Runner, w io.Writer) (any, error) {
+func counters(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "§III-E — error-counter SRAM budget")
 	data := CountersData{
 		SRAMBytes:       faultmodel.CounterSRAMBytes(1024) * 2,
@@ -296,7 +297,7 @@ type HPCStallData struct {
 	StallFraction float64 `json:"stall_fraction"`
 }
 
-func hpcStall(r *Runner, w io.Writer) (any, error) {
+func hpcStall(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "§VI-B — HPC system stall estimate")
 	cfg := faultmodel.DefaultHPCConfig()
 	data := HPCStallData{StallFraction: cfg.StallFraction()}
@@ -311,7 +312,7 @@ type MixedRankPoint struct {
 	sim.MixedRankResult
 }
 
-func mixedRank(r *Runner, w io.Writer) (any, error) {
+func mixedRank(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "§VI-A — mixed narrow/wide ranks (2 wide + 2 narrow per channel, 8 channels)")
 	fmt.Fprintln(w, "hot%   dyn pJ/access   vs all-narrow   capacity vs all-narrow   ECC overhead (parity vs none)")
 	hots := []float64{0, 0.5, 0.8, 0.9, 0.95, 1.0}
@@ -330,7 +331,7 @@ type UndetectedData struct {
 	Years float64 `json:"years"`
 }
 
-func undetected(r *Runner, w io.Writer) (any, error) {
+func undetected(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "§VI-D — undetectable error rate, modified LOT-ECC5 encoding")
 	years := faultmodel.UndetectedErrorYears(faultmodel.PaperTopology(8), faultmodel.DefaultRates(), 4)
 	fmt.Fprintf(w, "One undetected error per %.0f years (paper: ~300,000; target: 1000)\n", years)
@@ -345,7 +346,7 @@ type Fig2Data struct {
 	AnalyticDays   float64       `json:"analytic_days"`
 }
 
-func fig2(r *Runner, w io.Writer) (any, error) {
+func fig2(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	fmt.Fprintln(w, "=== Fig. 2 — mean time between faults in different channels ===")
 	fmt.Fprintln(w, "(8 channels × 4 ranks × 9 chips, exponential failure distribution)")
 	rows := sim.Fig2ChannelFaultGaps()
@@ -355,7 +356,7 @@ func fig2(r *Runner, w io.Writer) (any, error) {
 	// Cross-check one point against Monte Carlo (40 trials suffice).
 	done := r.stage("fig2: Monte Carlo cross-check, 40 trials, workers=%d", r.p.Workers)
 	topo := faultmodel.PaperTopology(8)
-	mc, err := faultmodel.MeasureChannelFaultGapsContext(r.ctx, 44, topo, 40, r.p.Seed, r.p.Workers)
+	mc, err := faultmodel.MeasureChannelFaultGapsContext(ctx, 44, topo, 40, r.p.Seed, r.p.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -371,10 +372,10 @@ func fig2(r *Runner, w io.Writer) (any, error) {
 	return data, nil
 }
 
-func fig8(r *Runner, w io.Writer) (any, error) {
+func fig8(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	fmt.Fprintln(w, "\n=== Fig. 8 — fraction of memory with stored correction bits after 7 years ===")
 	done := r.stage("fig8: %d trials × 4 channel counts, seed=%d, workers=%d", r.p.Trials, r.p.Seed, r.p.Workers)
-	rows, err := sim.Fig8EOLFractionsContext(r.ctx, r.p.Trials, r.p.Seed, r.p.Workers)
+	rows, err := sim.Fig8EOLFractionsContext(ctx, r.p.Trials, r.p.Seed, r.p.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -386,7 +387,7 @@ func fig8(r *Runner, w io.Writer) (any, error) {
 	return rows, nil
 }
 
-func fig18(r *Runner, w io.Writer) (any, error) {
+func fig18(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	fmt.Fprintln(w, "\n=== Fig. 18 — P(faults in >1 channel within one detection window, 7-year life) ===")
 	rows := sim.Fig18ScrubWindows()
 	last := 0.0

@@ -77,12 +77,12 @@ type Report struct {
 
 // Runner executes experiments for one Params, sharing the expensive
 // (scheme × workload) evaluation matrices across figures the way
-// `eccsim -exp all` always has. A Runner is not safe for concurrent use;
-// create one per request.
+// `eccsim -exp all` always has. A Runner is safe for concurrent use when
+// its progress writer is: each RunContext carries its own context, and
+// concurrent runs that need the same matrix fill it together.
 type Runner struct {
 	p        Params
 	progress io.Writer
-	ctx      context.Context // the active RunContext's context; Background between runs
 	// store holds the evaluation matrices and Fig. 9 campaigns: the
 	// Runner's own, or the one every Runner of an Executor shares.
 	store *evalStore
@@ -96,7 +96,7 @@ func NewRunner(p Params, progress io.Writer) *Runner {
 }
 
 func newRunner(p Params, progress io.Writer, store *evalStore) *Runner {
-	return &Runner{p: p, progress: progress, ctx: context.Background(), store: store}
+	return &Runner{p: p, progress: progress, store: store}
 }
 
 // Params returns the Runner's parameters.
@@ -115,27 +115,31 @@ func (r *Runner) opts() []sim.Option {
 }
 
 // matrix returns the stored evaluation in t for the Runner's simulated
-// identity (Cycles, Warmup, Seed) and class, filling it under the active
-// run's context if needed. A canceled run caches nothing unless another
-// Runner sharing the store finishes the matrix.
-func (r *Runner) matrix(t *storeTable, class sim.SystemClass, layout func(*sim.Sim) *sim.Matrix) (*sim.Evaluation, error) {
+// identity (Cycles, Warmup, Seed) and class, filling it under ctx if
+// needed. A canceled run caches nothing unless another run sharing the
+// store finishes the matrix.
+func (r *Runner) matrix(ctx context.Context, t *storeTable, class sim.SystemClass, layout func(*sim.Sim) *sim.Matrix) (*sim.Evaluation, error) {
 	s, err := sim.New(r.opts()...)
 	if err != nil {
 		return nil, err
 	}
 	key := evalKey{cycles: r.p.Cycles, warmup: r.p.Warmup, seed: r.p.Seed, class: class}
-	return r.store.evaluation(r.ctx, t, key, r.p.Workers, func() *sim.Matrix { return layout(s) })
+	return r.store.evaluation(ctx, t, key, r.p.Workers, func() *sim.Matrix { return layout(s) })
 }
 
 // eval returns the (scheme × workload) matrix of the paper's schemes for a
 // system class.
-func (r *Runner) eval(class sim.SystemClass) (*sim.Evaluation, error) {
-	return r.matrix(&r.store.evals, class, func(s *sim.Sim) *sim.Matrix { return s.Matrix(class, nil, nil) })
+func (r *Runner) eval(ctx context.Context, class sim.SystemClass) (*sim.Evaluation, error) {
+	return r.matrix(ctx, &r.store.evals, class, func(s *sim.Sim) *sim.Matrix { return s.Matrix(class, nil, nil) })
 }
 
-// fig9Rows returns the Fig. 9 bandwidth campaign's rows, in spec order.
-func (r *Runner) fig9Rows() ([]sim.Fig9Row, error) {
-	ev, err := r.matrix(&r.store.fig9, sim.DualEq, (*sim.Sim).Fig9Matrix)
+// fig9Rows returns the Fig. 9 bandwidth campaign's rows, in spec order:
+// the commercial chipkill scheme on the dual-channel system, one cell per
+// workload.
+func (r *Runner) fig9Rows(ctx context.Context) ([]sim.Fig9Row, error) {
+	ev, err := r.matrix(ctx, &r.store.fig9, sim.DualEq, func(s *sim.Sim) *sim.Matrix {
+		return s.Matrix(sim.DualEq, []sim.SchemeConfig{sim.SchemeByKey("chipkill36")}, nil)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -149,19 +153,13 @@ func (r *Runner) fig9Rows() ([]sim.Fig9Row, error) {
 type spec struct {
 	source string // "eccsim", "faultmc" or "serve": which front end owns the id
 	title  string
-	run    func(r *Runner, w io.Writer) (any, error)
+	run    func(ctx context.Context, r *Runner, w io.Writer) (any, error)
 	// A non-empty defaultScheme makes the experiment scheme-aware: it
 	// honours Params.Scheme/SchemeOptions, and an empty Params.Scheme
 	// resolves to defaultScheme. codecLevel experiments drive the codec
 	// itself and reject engine-only table entries (ecc.Entry.EngineOnly).
 	defaultScheme string
 	codecLevel    bool
-}
-
-// Run executes one experiment id and returns its Report. It cannot be
-// interrupted; prefer RunContext.
-func (r *Runner) Run(id string) (Report, error) {
-	return r.RunContext(context.Background(), id)
 }
 
 // RunContext executes one experiment id under ctx and returns its Report.
@@ -177,10 +175,8 @@ func (r *Runner) RunContext(ctx context.Context, id string) (Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	r.ctx = ctx
-	defer func() { r.ctx = context.Background() }()
 	var buf bytes.Buffer
-	data, err := sp.run(r, &buf)
+	data, err := sp.run(ctx, r, &buf)
 	if err != nil {
 		return Report{}, err
 	}

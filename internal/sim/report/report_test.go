@@ -1,7 +1,12 @@
 package report
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -36,7 +41,7 @@ func TestRegistryCoversBothCLIs(t *testing.T) {
 }
 
 func TestRunUnknownID(t *testing.T) {
-	if _, err := NewRunner(smallParams, nil).Run("fig99"); err == nil {
+	if _, err := NewRunner(smallParams, nil).RunContext(context.Background(), "fig99"); err == nil {
 		t.Fatal("Run(fig99) must error")
 	}
 }
@@ -52,7 +57,7 @@ func TestWorkerInvariantText(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			p := smallParams
 			p.Workers = workers
-			rep, err := NewRunner(p, nil).Run(id)
+			rep, err := NewRunner(p, nil).RunContext(context.Background(), id)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", id, workers, err)
 			}
@@ -74,7 +79,7 @@ func TestSeedChangesMonteCarloText(t *testing.T) {
 	run := func(seed int64) string {
 		p := smallParams
 		p.Seed = seed
-		rep, err := NewRunner(p, nil).Run("fig8")
+		rep, err := NewRunner(p, nil).RunContext(context.Background(), "fig8")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +94,7 @@ func TestCSVChangesComparisonRendering(t *testing.T) {
 	p := smallParams
 	p.CSV = true
 	r := NewRunner(p, nil)
-	rep, err := r.Run("fig13")
+	rep, err := r.RunContext(context.Background(), "fig13")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,5 +112,57 @@ func TestNormalizedFillsDefaults(t *testing.T) {
 	}
 	if p := (Params{}).Normalized(); p != DefaultParams() {
 		t.Errorf("zero Params normalized to %+v, want defaults", p)
+	}
+}
+
+// cancelOnWrite is a progress writer that cancels a context at the first
+// progress line: the first simulation cell of a shared run completing.
+type cancelOnWrite struct {
+	once   sync.Once
+	cancel context.CancelFunc
+}
+
+func (c *cancelOnWrite) Write(p []byte) (int, error) {
+	c.once.Do(c.cancel)
+	return len(p), nil
+}
+
+// TestRunnerSharedAcrossGoroutines: one Runner serves two concurrent
+// RunContext calls on the same matrix. The one whose context is canceled
+// mid-run returns context.Canceled; the other completes with the bytes of
+// a solo run.
+func TestRunnerSharedAcrossGoroutines(t *testing.T) {
+	p := smallParams
+	p.Workers = 2
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := NewRunner(p, &cancelOnWrite{cancel: cancel})
+	var wg sync.WaitGroup
+	var canceledErr, completedErr error
+	var completed Report
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		_, canceledErr = r.RunContext(ctx, "fig13")
+	}()
+	go func() {
+		defer wg.Done()
+		completed, completedErr = r.RunContext(context.Background(), "fig13")
+	}()
+	wg.Wait()
+	if !errors.Is(canceledErr, context.Canceled) {
+		t.Errorf("canceled run: err = %v, want context.Canceled", canceledErr)
+	}
+	if completedErr != nil {
+		t.Fatalf("completing run: %v", completedErr)
+	}
+	solo, err := NewRunner(p, nil).RunContext(context.Background(), "fig13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gd, _ := json.Marshal(completed.Data)
+	wd, _ := json.Marshal(solo.Data)
+	if completed.Text != solo.Text || !bytes.Equal(gd, wd) {
+		t.Error("report completed on a shared Runner diverges from a solo run")
 	}
 }

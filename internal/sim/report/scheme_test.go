@@ -1,6 +1,7 @@
 package report
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -136,7 +137,7 @@ func TestServeExperimentsWorkerInvariant(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			p := smallParams
 			p.Workers = workers
-			rep, err := NewRunner(p, nil).Run(id)
+			rep, err := NewRunner(p, nil).RunContext(context.Background(), id)
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", id, workers, err)
 			}
@@ -159,7 +160,7 @@ func TestFaultInjectSchemeSelection(t *testing.T) {
 		t.Helper()
 		p := smallParams
 		p.Scheme, p.SchemeOptions = scheme, options
-		rep, err := NewRunner(p, nil).Run("faultinject")
+		rep, err := NewRunner(p, nil).RunContext(context.Background(), "faultinject")
 		if err != nil {
 			t.Fatal(err)
 		}

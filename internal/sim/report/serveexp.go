@@ -7,6 +7,8 @@ package report
 // and sweepable like every figure.
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -39,7 +41,7 @@ type SchemeEvalData struct {
 	Rows          []SchemeEvalRow `json:"rows"`
 }
 
-func schemeEval(r *Runner, w io.Writer) (any, error) {
+func schemeEval(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	scheme, options := r.schemeFor("ondie+chipkill")
 	sc, err := sim.SchemeVariant(scheme, options)
 	if err != nil {
@@ -51,7 +53,7 @@ func schemeEval(r *Runner, w io.Writer) (any, error) {
 		return nil, err
 	}
 	done := r.stage("schemeeval: %s across all workloads, workers=%d", sc.Key, r.p.Workers)
-	ev, err := s.Evaluate(r.ctx, sim.QuadEq, []sim.SchemeConfig{sc}, nil)
+	ev, err := s.Evaluate(ctx, sim.QuadEq, []sim.SchemeConfig{sc}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +127,7 @@ var faultInjectPatterns = []struct {
 	}},
 }
 
-func faultInject(r *Runner, w io.Writer) (any, error) {
+func faultInject(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	scheme, options := r.schemeFor("ondie+chipkill")
 	s, err := ecc.Build(scheme, options)
 	if err != nil {
@@ -143,7 +145,7 @@ func faultInject(r *Runner, w io.Writer) (any, error) {
 		rng := rand.New(rand.NewSource(faultmodel.TrialSeed(r.p.Seed, pi)))
 		row := FaultInjectRow{Pattern: pat.name, Trials: r.p.Trials}
 		for trial := 0; trial < r.p.Trials; trial++ {
-			if err := r.ctx.Err(); err != nil {
+			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			rng.Read(line)
@@ -163,7 +165,7 @@ func faultInject(r *Runner, w io.Writer) (any, error) {
 			switch {
 			case err != nil:
 				row.Uncorrectable++
-			case eqBytes(got, line):
+			case bytes.Equal(got, line):
 				row.Corrected++
 			default:
 				row.SilentCorruption++
@@ -185,7 +187,7 @@ type HarpProfileData struct {
 	Rounds        []faultmodel.HarpRound `json:"rounds"`
 }
 
-func harpProfile(r *Runner, w io.Writer) (any, error) {
+func harpProfile(ctx context.Context, r *Runner, w io.Writer) (any, error) {
 	header(w, "HARP profiling — at-risk bit coverage, on-die ECC active vs bypassed")
 	cfg := faultmodel.HarpConfig{
 		Words: 64, AtRiskPerWord: 3, ErrorProb: 0.25, Rounds: 16,
@@ -193,7 +195,7 @@ func harpProfile(r *Runner, w io.Writer) (any, error) {
 	}
 	done := r.stage("harpprofile: %d trials × %d words × %d rounds, workers=%d",
 		cfg.Trials, cfg.Words, cfg.Rounds, r.p.Workers)
-	res, err := faultmodel.ProfileHarpContext(r.ctx, cfg)
+	res, err := faultmodel.ProfileHarpContext(ctx, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -212,17 +214,4 @@ func harpProfile(r *Runner, w io.Writer) (any, error) {
 		Words: cfg.Words, AtRiskPerWord: cfg.AtRiskPerWord,
 		ErrorProb: cfg.ErrorProb, Trials: cfg.Trials, Rounds: res.Rounds,
 	}, nil
-}
-
-// eqBytes reports byte equality (len-aware).
-func eqBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

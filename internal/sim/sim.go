@@ -55,20 +55,16 @@ type Config struct {
 	// with a row-buffer-friendly address map (the row-policy ablation; the
 	// paper evaluates close-page).
 	OpenPage bool
-	// Workers bounds the goroutines used by the grid runners
-	// (NewEvaluation, Fig9Bandwidth) that fan independent Run calls out
-	// over a worker pool; ≤0 means runtime.NumCPU(). A single Run is
-	// always sequential, and because every cell's randomness derives only
-	// from its own Config, grid results are bit-identical at any setting.
+	// Workers bounds the goroutines a grid (Sim.Evaluate, or one caller's
+	// join of a Matrix) fans its independent cells out over; ≤0 means
+	// runtime.NumCPU(). A single RunContext is always sequential, and
+	// because every cell's randomness derives only from its own Config,
+	// grid results are bit-identical at any setting.
 	Workers int
 	// ProgressW, when non-nil, receives a done/total ticker line from the
 	// grid runners, one step per completed simulation cell (the CLIs pass
 	// os.Stderr so stdout stays byte-identical at any worker count).
 	ProgressW io.Writer
-
-	// optErr records the first Option that failed to apply (e.g. WithCell
-	// with an unknown scheme key); New surfaces it as the validation error.
-	optErr error
 }
 
 // baseConfig is the standard evaluation budget every entry point starts
@@ -157,16 +153,6 @@ type engine struct {
 	heap  coreHeap
 }
 
-// Run executes one simulation deterministically. It is the uninterruptible
-// form of RunContext; prefer New(...).Run for new code.
-func Run(cfg Config) Result {
-	res, err := RunContext(context.Background(), cfg)
-	if err != nil {
-		panic(err) // Background is never canceled
-	}
-	return res
-}
-
 // ctxCheckEvery is the engine's cancellation checkpoint interval, in
 // simulation-loop iterations (must be a power of two). One iteration is one
 // memory access plus its cascade — well under a microsecond of host time —
@@ -191,8 +177,8 @@ func checkpoint(ctx context.Context) error {
 // RunContext executes one simulation deterministically, polling ctx at a
 // bounded checkpoint interval (ctxCheckEvery loop iterations) during both
 // warmup and the measured window. A run that completes is byte-identical
-// to Run — the checkpoints only observe and yield, never reorder — and a
-// canceled run returns ctx's error with a zero Result.
+// at any checkpoint timing — the checkpoints only observe and yield, never
+// reorder — and a canceled run returns ctx's error with a zero Result.
 func RunContext(ctx context.Context, cfg Config) (Result, error) {
 	a := arenaPool.Get().(*Arena)
 	defer arenaPool.Put(a)

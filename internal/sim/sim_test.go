@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -16,16 +17,51 @@ func fastCfg(scheme string, class SystemClass, wl string) Config {
 	return cfg
 }
 
+// mustRun simulates cfg to completion; the tests never cancel a run.
+func mustRun(cfg Config) Result {
+	r, err := RunContext(context.Background(), cfg)
+	if err != nil {
+		panic(err)
+	}
+	return r
+}
+
+// evaluate runs an uncanceled grid through New(opts...).Evaluate; nil
+// schemeKeys mean PaperSchemes and nil workloads mean all.
+func evaluate(t *testing.T, class SystemClass, schemeKeys, workloads []string, opts ...Option) *Evaluation {
+	t.Helper()
+	s, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var schemes []SchemeConfig
+	for _, k := range schemeKeys {
+		schemes = append(schemes, SchemeByKey(k))
+	}
+	ev, err := s.Evaluate(context.Background(), class, schemes, workloads)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ev
+}
+
+// fig9Rows runs the Fig. 9 characterization with opts: the commercial
+// chipkill scheme on the dual-channel system, one cell per workload.
+func fig9Rows(t *testing.T, opts ...Option) []Fig9Row {
+	t.Helper()
+	return evaluate(t, DualEq, []string{"chipkill36"}, nil, opts...).Fig9Rows()
+}
+
 func TestRunDeterministic(t *testing.T) {
-	a := Run(fastCfg("lotecc5+parity", QuadEq, "mcf"))
-	b := Run(fastCfg("lotecc5+parity", QuadEq, "mcf"))
+	a := mustRun(fastCfg("lotecc5+parity", QuadEq, "mcf"))
+	b := mustRun(fastCfg("lotecc5+parity", QuadEq, "mcf"))
 	if a.EPI != b.EPI || a.IPC != b.IPC || a.AccessesPerInstr != b.AccessesPerInstr {
 		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
 	}
 }
 
 func TestRunProducesActivity(t *testing.T) {
-	r := Run(fastCfg("chipkill36", QuadEq, "lbm"))
+	r := mustRun(fastCfg("chipkill36", QuadEq, "lbm"))
 	if r.Instructions == 0 || r.IPC <= 0 || r.EPI <= 0 {
 		t.Fatalf("dead simulation: %+v", r)
 	}
@@ -44,7 +80,7 @@ func TestRunProducesActivity(t *testing.T) {
 func TestHeadlineEPIOrdering(t *testing.T) {
 	results := map[string]Result{}
 	for _, key := range []string{"chipkill36", "chipkill18", "lotecc9", "multiecc", "lotecc5", "lotecc5+parity"} {
-		results[key] = Run(fastCfg(key, QuadEq, "mcf"))
+		results[key] = mustRun(fastCfg(key, QuadEq, "mcf"))
 	}
 	p := results["lotecc5+parity"].EPI
 	if red := 100 * (results["chipkill36"].EPI - p) / results["chipkill36"].EPI; red < 40 {
@@ -66,16 +102,16 @@ func TestHeadlineEPIOrdering(t *testing.T) {
 // LOT-ECC5's (its advantage is capacity, §V-A). Full-scale runs are needed
 // for the ECC/XOR-cacheline steady state to settle.
 func TestParityMatchesLOTECC5Energy(t *testing.T) {
-	lot := Run(DefaultConfig("lotecc5", QuadEq, "mcf"))
-	p := Run(DefaultConfig("lotecc5+parity", QuadEq, "mcf"))
+	lot := mustRun(DefaultConfig("lotecc5", QuadEq, "mcf"))
+	p := mustRun(DefaultConfig("lotecc5+parity", QuadEq, "mcf"))
 	if diff := math.Abs(lot.EPI-p.EPI) / lot.EPI; diff > 0.06 {
 		t.Errorf("EPI vs lotecc5 differs %.1f%%, want ≈0 (the overlay only saves capacity)", 100*diff)
 	}
 }
 
 func TestRAIMParityEPI(t *testing.T) {
-	raim := Run(fastCfg("raim", QuadEq, "lbm"))
-	rp := Run(fastCfg("raim+parity", QuadEq, "lbm"))
+	raim := mustRun(fastCfg("raim", QuadEq, "lbm"))
+	rp := mustRun(fastCfg("raim+parity", QuadEq, "lbm"))
 	red := 100 * (raim.EPI - rp.EPI) / raim.EPI
 	if red < 10 {
 		t.Errorf("RAIM+Parity EPI reduction %.1f%%, want substantial (paper: ~21%%)", red)
@@ -85,8 +121,8 @@ func TestRAIMParityEPI(t *testing.T) {
 // TestBin2SavingsExceedBin1: the access-rate dependence of the savings.
 func TestBin2SavingsExceedBin1(t *testing.T) {
 	red := func(wl string) float64 {
-		base := Run(fastCfg("chipkill36", QuadEq, wl))
-		p := Run(fastCfg("lotecc5+parity", QuadEq, wl))
+		base := mustRun(fastCfg("chipkill36", QuadEq, wl))
+		p := mustRun(fastCfg("lotecc5+parity", QuadEq, wl))
 		return 100 * (base.EPI - p.EPI) / base.EPI
 	}
 	bin2 := red("lbm")   // memory intensive
@@ -99,8 +135,8 @@ func TestBin2SavingsExceedBin1(t *testing.T) {
 // TestDynamicSavingsComeFromFewerChips: dynamic EPI of LOT5+Parity must be
 // far below the 18-device baseline's (5 chips vs 18 per access).
 func TestDynamicSavingsComeFromFewerChips(t *testing.T) {
-	ck := Run(fastCfg("chipkill18", QuadEq, "mcf"))
-	p := Run(fastCfg("lotecc5+parity", QuadEq, "mcf"))
+	ck := mustRun(fastCfg("chipkill18", QuadEq, "mcf"))
+	p := mustRun(fastCfg("lotecc5+parity", QuadEq, "mcf"))
 	if p.DynamicEPI > 0.7*ck.DynamicEPI {
 		t.Errorf("dynamic EPI %.0f vs %.0f: expected ≥30%% reduction", p.DynamicEPI, ck.DynamicEPI)
 	}
@@ -110,13 +146,13 @@ func TestDynamicSavingsComeFromFewerChips(t *testing.T) {
 // updates cost extra accesses vs a scheme with in-rank ECC. Random-access
 // workloads sit above the average, sequential ones below.
 func TestAccessOverheadVsChipkill18(t *testing.T) {
-	ckRand := Run(fastCfg("chipkill18", QuadEq, "mcf"))
-	pRand := Run(fastCfg("lotecc5+parity", QuadEq, "mcf"))
+	ckRand := mustRun(fastCfg("chipkill18", QuadEq, "mcf"))
+	pRand := mustRun(fastCfg("lotecc5+parity", QuadEq, "mcf"))
 	if pRand.AccessesPerInstr <= ckRand.AccessesPerInstr {
 		t.Error("parity updates must cost extra accesses on random workloads")
 	}
-	ckSeq := Run(fastCfg("chipkill18", QuadEq, "streamcluster"))
-	pSeq := Run(fastCfg("lotecc5+parity", QuadEq, "streamcluster"))
+	ckSeq := mustRun(fastCfg("chipkill18", QuadEq, "streamcluster"))
+	pSeq := mustRun(fastCfg("lotecc5+parity", QuadEq, "streamcluster"))
 	overheadSeq := pSeq.AccessesPerInstr / ckSeq.AccessesPerInstr
 	overheadRand := pRand.AccessesPerInstr / ckRand.AccessesPerInstr
 	if overheadSeq >= overheadRand {
@@ -131,13 +167,13 @@ func TestAccessOverheadVsChipkill18(t *testing.T) {
 // compute ceiling), and LOT5+Parity moves fewer 64B-equivalent accesses
 // than chipkill36 on random ones (Fig. 16's 20% average).
 func TestLargeLineSpatialLocality(t *testing.T) {
-	ck36 := Run(DefaultConfig("chipkill36", QuadEq, "streamcluster"))
-	p := Run(DefaultConfig("lotecc5+parity", QuadEq, "streamcluster"))
+	ck36 := mustRun(DefaultConfig("chipkill36", QuadEq, "streamcluster"))
+	p := mustRun(DefaultConfig("lotecc5+parity", QuadEq, "streamcluster"))
 	if p.IPC > ck36.IPC*1.03 {
 		t.Errorf("parity must not meaningfully beat 128B lines on streamcluster: ck36 %.2f vs parity %.2f", ck36.IPC, p.IPC)
 	}
-	ck36r := Run(fastCfg("chipkill36", QuadEq, "mcf"))
-	pr := Run(fastCfg("lotecc5+parity", QuadEq, "mcf"))
+	ck36r := mustRun(fastCfg("chipkill36", QuadEq, "mcf"))
+	pr := mustRun(fastCfg("lotecc5+parity", QuadEq, "mcf"))
 	if pr.AccessesPerInstr >= ck36r.AccessesPerInstr {
 		t.Error("64B lines must move less data on random-access workloads")
 	}
@@ -148,8 +184,8 @@ func TestLargeLineSpatialLocality(t *testing.T) {
 // dual-equivalent system pays more traffic overhead than the quad.
 func TestDualEqOverheadHigher(t *testing.T) {
 	ratio := func(class SystemClass) float64 {
-		ck := Run(fastCfg("chipkill18", class, "omnetpp"))
-		p := Run(fastCfg("lotecc5+parity", class, "omnetpp"))
+		ck := mustRun(fastCfg("chipkill18", class, "omnetpp"))
+		p := mustRun(fastCfg("lotecc5+parity", class, "omnetpp"))
 		return p.AccessesPerInstr / ck.AccessesPerInstr
 	}
 	dual, quad := ratio(DualEq), ratio(QuadEq)
@@ -164,8 +200,8 @@ func TestMarkedBanksCostTraffic(t *testing.T) {
 	clean := fastCfg("lotecc5+parity", QuadEq, "mcf")
 	faulty := clean
 	faulty.MarkedBankFraction = 0.5
-	rc := Run(clean)
-	rf := Run(faulty)
+	rc := mustRun(clean)
+	rf := mustRun(faulty)
 	if rf.Mem.Reads[1] <= rc.Mem.Reads[1] {
 		t.Errorf("marked banks must add ECC reads: %d vs %d", rf.Mem.Reads[1], rc.Mem.Reads[1])
 	}
@@ -175,18 +211,18 @@ func TestMarkedBanksCostTraffic(t *testing.T) {
 }
 
 func TestBaselineSchemesHaveNoECCTraffic(t *testing.T) {
-	r := Run(fastCfg("chipkill36", QuadEq, "lbm"))
+	r := mustRun(fastCfg("chipkill36", QuadEq, "lbm"))
 	if r.Mem.Reads[1] != 0 || r.Mem.Writes[1] != 0 {
 		t.Fatalf("inline-ECC scheme generated ECC traffic: %+v", r.Mem)
 	}
-	p := Run(fastCfg("lotecc5+parity", QuadEq, "lbm"))
+	p := mustRun(fastCfg("lotecc5+parity", QuadEq, "lbm"))
 	if p.Mem.Reads[1] == 0 || p.Mem.Writes[1] == 0 {
 		t.Fatal("parity scheme must generate parity-line read+write traffic")
 	}
 }
 
 func TestFig9Characterization(t *testing.T) {
-	rows := Fig9Bandwidth(WithCycles(100000), WithWarmup(8000))
+	rows := fig9Rows(t, WithCycles(100000), WithWarmup(8000))
 	if len(rows) != 16 {
 		t.Fatalf("%d rows, want 16", len(rows))
 	}
@@ -203,7 +239,7 @@ func TestFig9Characterization(t *testing.T) {
 }
 
 func TestComparisonBins(t *testing.T) {
-	ev := NewEvaluation(QuadEq,
+	ev := evaluate(t, QuadEq,
 		[]string{"chipkill36", "lotecc5+parity"},
 		[]string{"lbm", "sjeng"},
 		WithCycles(100000), WithWarmup(8000))
@@ -233,7 +269,10 @@ func TestFig1Rows(t *testing.T) {
 }
 
 func TestTable3StaticValues(t *testing.T) {
-	rows := Table3Capacity(200, 5, 0)
+	rows, err := Table3CapacityContext(context.Background(), 200, 5, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := map[string]float64{
 		"36-device commercial chipkill correct": 0.125,
 		"LOT-ECC5":                              0.406,
@@ -270,7 +309,10 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	rows := Fig8EOLFractions(400, 7, 0)
+	rows, err := Fig8EOLFractionsContext(context.Background(), 400, 7, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
 		if r.Mean <= 0 || r.Mean > 0.05 {
 			t.Errorf("channels=%d: mean fraction %.4f out of plausible range", r.Channels, r.Mean)
@@ -302,7 +344,7 @@ func TestFig18PaperPoint(t *testing.T) {
 // bit-identical whether cells run serially or spread over many goroutines.
 func TestEvaluationWorkerCountInvariance(t *testing.T) {
 	run := func(workers int) *Evaluation {
-		return NewEvaluation(QuadEq,
+		return evaluate(t, QuadEq,
 			[]string{"chipkill18", "lotecc5+parity"},
 			[]string{"mcf", "lbm"},
 			WithCycles(60000), WithWarmup(5000), WithWorkers(workers))
@@ -326,8 +368,8 @@ func TestFig9WorkerCountInvariance(t *testing.T) {
 	opts := func(w int) []Option {
 		return []Option{WithCycles(40000), WithWarmup(4000), WithWorkers(w)}
 	}
-	serial := Fig9Bandwidth(opts(1)...)
-	wide := Fig9Bandwidth(opts(8)...)
+	serial := fig9Rows(t, opts(1)...)
+	wide := fig9Rows(t, opts(8)...)
 	if len(serial) != len(wide) {
 		t.Fatalf("row counts differ: %d vs %d", len(serial), len(wide))
 	}
@@ -344,8 +386,8 @@ func TestWithSeedChangesWorkloadStream(t *testing.T) {
 	if base.Seed != 2 {
 		t.Fatalf("WithSeed not applied: %d", base.Seed)
 	}
-	a := Run(base)
-	b := Run(fastCfg("chipkill18", QuadEq, "mcf")) // seed 1
+	a := mustRun(base)
+	b := mustRun(fastCfg("chipkill18", QuadEq, "mcf")) // seed 1
 	if a.Instructions == b.Instructions && a.EPI == b.EPI {
 		t.Fatal("different seeds produced identical runs")
 	}
@@ -379,7 +421,7 @@ func TestDisableECCCachingCostsTraffic(t *testing.T) {
 	on := fastCfg("lotecc5+parity", QuadEq, "lbm")
 	off := on
 	off.DisableECCCaching = true
-	rOn, rOff := Run(on), Run(off)
+	rOn, rOff := mustRun(on), mustRun(off)
 	if rOff.AccessesPerInstr <= rOn.AccessesPerInstr {
 		t.Errorf("uncached ECC updates must cost traffic: on=%.4f off=%.4f",
 			rOn.AccessesPerInstr, rOff.AccessesPerInstr)
@@ -387,7 +429,7 @@ func TestDisableECCCachingCostsTraffic(t *testing.T) {
 	base := fastCfg("lotecc5", QuadEq, "lbm")
 	baseOff := base
 	baseOff.DisableECCCaching = true
-	bOn, bOff := Run(base), Run(baseOff)
+	bOn, bOff := mustRun(base), mustRun(baseOff)
 	if bOff.AccessesPerInstr <= bOn.AccessesPerInstr {
 		t.Error("uncached GEC updates must cost traffic for baseline LOT-ECC too")
 	}
@@ -398,7 +440,7 @@ func TestDisableECCCachingCostsTraffic(t *testing.T) {
 func TestScrubTraffic(t *testing.T) {
 	cfg := fastCfg("lotecc5+parity", QuadEq, "gobmk")
 	cfg.ScrubLineInterval = 100
-	r := Run(cfg)
+	r := mustRun(cfg)
 	if r.Mem.Reads[2] == 0 {
 		t.Fatal("no scrub reads recorded")
 	}
@@ -408,7 +450,7 @@ func TestScrubTraffic(t *testing.T) {
 	}
 	cfg2 := cfg
 	cfg2.ScrubLineInterval = 1000
-	r2 := Run(cfg2)
+	r2 := mustRun(cfg2)
 	if r2.Mem.Reads[2] >= r.Mem.Reads[2] {
 		t.Error("longer interval must mean fewer scrub reads")
 	}
@@ -454,7 +496,7 @@ func TestMixedRankSweepMonotone(t *testing.T) {
 // trace must produce bit-identical simulation results.
 func TestTraceDrivenRunMatchesLive(t *testing.T) {
 	cfg := fastCfg("lotecc5+parity", QuadEq, "milc")
-	live := Run(cfg)
+	live := mustRun(cfg)
 
 	srcs := make([]workload.Source, cfg.Cores)
 	// Enough accesses for warmup plus measurement (the trace loops if it
@@ -473,7 +515,7 @@ func TestTraceDrivenRunMatchesLive(t *testing.T) {
 		srcs[i] = tr
 	}
 	cfg.Sources = srcs
-	replayed := Run(cfg)
+	replayed := mustRun(cfg)
 	if live.EPI != replayed.EPI || live.IPC != replayed.IPC ||
 		live.AccessesPerInstr != replayed.AccessesPerInstr {
 		t.Fatalf("trace replay diverged: live %+v vs replay %+v", live, replayed)
@@ -488,7 +530,7 @@ func TestSourcesLengthValidated(t *testing.T) {
 	}()
 	cfg := fastCfg("chipkill18", QuadEq, "sjeng")
 	cfg.Sources = make([]workload.Source, 3)
-	Run(cfg)
+	mustRun(cfg)
 }
 
 // TestOpenPagePolicy: the row-policy ablation — open-page earns row hits
@@ -497,9 +539,9 @@ func TestSourcesLengthValidated(t *testing.T) {
 // choice (§IV-B) is the background side of this trade.
 func TestOpenPagePolicy(t *testing.T) {
 	cfg := fastCfg("lotecc5+parity", QuadEq, "streamcluster")
-	closed := Run(cfg)
+	closed := mustRun(cfg)
 	cfg.OpenPage = true
-	open := Run(cfg)
+	open := mustRun(cfg)
 	if open.Mem.RowHits == 0 {
 		t.Fatal("open-page on a sequential workload must earn row hits")
 	}
@@ -519,6 +561,6 @@ func BenchmarkSimulationCell(b *testing.B) {
 	// One (scheme, workload) matrix cell at test scale — the unit of work
 	// behind Figs. 9–17.
 	for i := 0; i < b.N; i++ {
-		Run(fastCfg("lotecc5+parity", QuadEq, "milc"))
+		mustRun(fastCfg("lotecc5+parity", QuadEq, "milc"))
 	}
 }
