@@ -149,9 +149,7 @@ func TestSharedHandBack(t *testing.T) {
 	}
 }
 
-// TestSharedFailure: a task failure (here a panic, captured with its task
-// index) fails the set for every caller, and an empty set completes at
-// once without running anything.
+// TestSharedFailure: a task failure fails the set for every caller.
 func TestSharedFailure(t *testing.T) {
 	s := NewShared(8, func(_ context.Context, i int) (int, error) {
 		if i == 3 {
@@ -160,14 +158,34 @@ func TestSharedFailure(t *testing.T) {
 		return i, nil
 	})
 	for range 2 {
-		if _, err := s.Join(context.Background(), 2); err == nil || !strings.Contains(err.Error(), "task 3 panicked: kaboom") {
+		if _, err := s.Join(context.Background(), 2); err == nil || !strings.Contains(err.Error(), "task 3 panicked") {
 			t.Fatalf("err = %v, want the captured panic", err)
 		}
 	}
-	if res, err := NewShared(0, func(context.Context, int) (int, error) {
+}
+
+// TestSharedPanicCaptured: a task panic returns as an error naming the
+// task index and the panic value.
+func TestSharedPanicCaptured(t *testing.T) {
+	_, err := NewShared(10, func(_ context.Context, i int) (int, error) {
+		if i == 5 {
+			panic("kaboom")
+		}
+		return i, nil
+	}).Join(context.Background(), 4)
+	if err == nil || !strings.Contains(err.Error(), "task 5 panicked: kaboom") {
+		t.Fatalf("panic not captured: %v", err)
+	}
+}
+
+// TestSharedZeroTasks: an empty set completes at once without running
+// anything.
+func TestSharedZeroTasks(t *testing.T) {
+	res, err := NewShared(0, func(context.Context, int) (int, error) {
 		t.Fatal("must not run")
 		return 0, nil
-	}).Join(context.Background(), 4); err != nil || len(res) != 0 {
+	}).Join(context.Background(), 4)
+	if err != nil || len(res) != 0 {
 		t.Fatalf("empty set: %v, %v", res, err)
 	}
 }
