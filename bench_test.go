@@ -447,7 +447,7 @@ func sweepThroughputPoints() []report.SweepPoint {
 	pts := []report.SweepPoint{}
 	for _, trials := range []int{30, 60} {
 		p := report.Params{Cycles: 30000, Warmup: 3000, Trials: trials, Seed: 1}
-		for _, id := range report.EccsimIDs() {
+		for _, id := range report.AllIDs() {
 			pts = append(pts, report.SweepPoint{Experiment: id, Params: p})
 		}
 	}

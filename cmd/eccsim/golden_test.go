@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"io"
-	"os"
+	"strings"
 	"testing"
+
+	"eccparity/internal/sim/report"
 )
 
 // goldenAllHash is the SHA-256 of `eccsim -exp all` stdout at the reduced
@@ -34,33 +36,22 @@ var goldenParams = runParams{
 // all` set does not run.
 const goldenHarpHash = "775b72f3453d2cdf1dd8c4e7315c9ba67878dca6223bd0a6d03f98aaa3453538"
 
-// goldenRun executes the experiment dispatcher on exp with stdout captured
-// and returns the SHA-256 of everything it printed.
-func goldenRun(t *testing.T, exp string, p runParams) string {
+// goldenMonteCarloHash is the SHA-256 of the concatenated stdout of
+// `eccsim -exp fig2`, `-exp fig8` and `-exp fig18`, each at -trials 400
+// -seed 5. It pins every reliability Monte Carlo campaign (Fig. 2's
+// cross-check, Fig. 8's EOL fractions, Fig. 18's scrub windows) byte for
+// byte across changes to the trial fan-out, at any worker count.
+const goldenMonteCarloHash = "da0d36139463321ca93a263a9be2a7628708612f4391f2a4e55f6263a9743b2a"
+
+// goldenRun executes the experiment dispatcher on each exp in turn and
+// returns the SHA-256 of everything they printed.
+func goldenRun(t *testing.T, p runParams, exps ...string) string {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
-	defer func() { os.Stdout = old }()
-
 	h := sha256.New()
-	done := make(chan error, 1)
-	go func() {
-		_, err := io.Copy(h, r)
-		done <- err
-	}()
-
-	runErr := runExperiments(context.Background(), exp, p)
-	w.Close()
-	os.Stdout = old
-	if err := <-done; err != nil {
-		t.Fatalf("draining stdout: %v", err)
-	}
-	if runErr != nil {
-		t.Fatalf("runExperiments: %v", runErr)
+	for _, exp := range exps {
+		if err := runExperiments(context.Background(), exp, p, h); err != nil {
+			t.Fatalf("runExperiments(%s): %v", exp, err)
+		}
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -73,7 +64,7 @@ func TestGoldenOutputSeed1(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := goldenParams
 		p.Workers = workers
-		if got := goldenRun(t, "all", p); got != goldenAllHash {
+		if got := goldenRun(t, p, "all"); got != goldenAllHash {
 			t.Errorf("workers=%d: stdout hash %s, want %s (engine output diverged from the golden baseline)",
 				workers, got, goldenAllHash)
 		}
@@ -85,9 +76,35 @@ func TestGoldenOutputSeed1(t *testing.T) {
 func TestGoldenHarpProfileSeed3(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		p := runParams{Trials: 40, Seed: 3, Workers: workers}
-		if got := goldenRun(t, "harpprofile", p); got != goldenHarpHash {
+		if got := goldenRun(t, p, "harpprofile"); got != goldenHarpHash {
 			t.Errorf("workers=%d: stdout hash %s, want %s (HARP profiling output diverged from the golden baseline)",
 				workers, got, goldenHarpHash)
+		}
+	}
+}
+
+// TestGoldenOutputSeed5 pins the three Monte Carlo figures, run one -exp
+// at a time, at workers 1 and 4.
+func TestGoldenOutputSeed5(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		p := runParams{Trials: 400, Seed: 5, Workers: workers}
+		if got := goldenRun(t, p, "fig2", "fig8", "fig18"); got != goldenMonteCarloHash {
+			t.Errorf("workers=%d: stdout hash %s, want %s (Monte Carlo output diverged from the golden baseline)",
+				workers, got, goldenMonteCarloHash)
+		}
+	}
+}
+
+// TestRunExperimentsAcceptsEveryID: every registered experiment id runs
+// from -exp, the Monte Carlo figures and daemon-first ids included.
+func TestRunExperimentsAcceptsEveryID(t *testing.T) {
+	p := runParams{Cycles: 2000, Warmup: 200, Trials: 8, Seed: 1, Progress: io.Discard}
+	for _, id := range report.IDs() {
+		var out strings.Builder
+		if err := runExperiments(context.Background(), id, p, &out); err != nil {
+			t.Errorf("-exp %s: %v", id, err)
+		} else if out.Len() == 0 {
+			t.Errorf("-exp %s printed nothing", id)
 		}
 	}
 }
@@ -95,7 +112,7 @@ func TestGoldenHarpProfileSeed3(t *testing.T) {
 func TestRunExperimentsRejectsUnknownID(t *testing.T) {
 	p := goldenParams
 	p.Progress = io.Discard
-	if err := runExperiments(context.Background(), "fig99", p); !errors.Is(err, errUnknownExperiment) {
+	if err := runExperiments(context.Background(), "fig99", p, io.Discard); !errors.Is(err, errUnknownExperiment) {
 		t.Fatalf("err = %v, want errUnknownExperiment", err)
 	}
 }
@@ -107,7 +124,7 @@ func TestRunExperimentsCanceledPrintsNothing(t *testing.T) {
 	cancel()
 	p := goldenParams
 	p.Progress = io.Discard
-	if err := runExperiments(ctx, "fig9", p); !errors.Is(err, context.Canceled) {
+	if err := runExperiments(ctx, "fig9", p, io.Discard); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

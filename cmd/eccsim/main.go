@@ -1,5 +1,6 @@
 // Command eccsim regenerates the ECC Parity paper's evaluation tables and
-// figures from the simulator. Each experiment is addressed by its paper id:
+// figures from the simulator and the reliability Monte Carlo models. Each
+// experiment is addressed by its paper id:
 //
 //	eccsim -exp fig1      # capacity overhead breakdown
 //	eccsim -exp table2    # evaluated ECC configurations
@@ -17,11 +18,18 @@
 //	eccsim -exp counters  # §III-E error-counter SRAM budget
 //	eccsim -exp hpcstall  # §VI-B HPC stall estimate
 //	eccsim -exp undetected# §VI-D undetectable error estimate
+//	eccsim -exp mixedrank # §VI-A mixed narrow/wide ranks
 //	eccsim -exp all       # everything above
 //
-// The daemon-first scheme-aware experiments (schemeeval, faultinject,
-// harpprofile) run here too when named explicitly; -scheme and
-// -scheme-options select their resilience scheme:
+// The reliability Monte Carlo studies run when named; they are not part of
+// -exp all:
+//
+//	eccsim -exp fig2      # mean time between faults in different channels
+//	eccsim -exp fig8      # EOL fraction of memory with materialized correction bits
+//	eccsim -exp fig18     # P(multi-channel faults within one scrub window)
+//
+// So do the daemon-first scheme-aware experiments (schemeeval, faultinject,
+// harpprofile); -scheme and -scheme-options select their resilience scheme:
 //
 //	eccsim -exp faultinject -scheme ondie+raim18
 //	eccsim -exp schemeeval -scheme ondie+chipkill -scheme-options '{"passthrough":true}'
@@ -32,8 +40,8 @@
 // only on the seed, never on the worker count: the same seed emits
 // byte-identical stdout at any -workers value. Progress goes to stderr.
 //
-// The experiments themselves live in internal/sim/report; this command is
-// one of its front ends (cmd/eccsimd serves the same registry over HTTP).
+// The experiments themselves live in internal/sim/report; this command runs
+// every id of its registry (cmd/eccsimd serves the same registry over HTTP).
 package main
 
 import (
@@ -58,7 +66,7 @@ func main() {
 	scheme := flag.String("scheme", "", "resilience scheme for scheme-aware experiments (empty = experiment default; eccsimd's GET /v1/schemes lists keys)")
 	schemeOptions := flag.String("scheme-options", "", `scheme constructor options JSON, e.g. '{"passthrough":true}'`)
 	common := cliflags.Register(flag.CommandLine)
-	flag.BoolVar(&csvOut, "csv", false, "emit comparison figures as CSV rows")
+	csv := flag.Bool("csv", false, "emit comparison figures as CSV rows")
 	flag.Parse()
 
 	if err := cliflags.CheckTrials(*trials); err != nil {
@@ -88,12 +96,13 @@ func main() {
 		Workers:       common.Workers,
 		Scheme:        *scheme,
 		SchemeOptions: *schemeOptions,
+		CSV:           *csv,
 		Progress:      os.Stderr,
-	})
+	}, os.Stdout)
 	stopProf()
 	switch {
 	case errors.Is(runErr, errUnknownExperiment):
-		fmt.Fprintf(os.Stderr, "unknown experiment %q (fig2/fig8/fig18 live in cmd/faultmc)\n", *exp)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	case errors.Is(runErr, context.Canceled):
 		fmt.Fprintln(os.Stderr, "eccsim: interrupted")
@@ -104,11 +113,8 @@ func main() {
 	}
 }
 
-// errUnknownExperiment marks an id outside the eccsim registry.
+// errUnknownExperiment marks an id outside the report registry.
 var errUnknownExperiment = errors.New("unknown experiment")
-
-// csvOut switches the comparison figures to machine-readable CSV.
-var csvOut bool
 
 // runParams carries the CLI knobs into the experiment dispatcher; the golden
 // regression test drives the same path at a reduced budget.
@@ -120,22 +126,24 @@ type runParams struct {
 	Workers       int
 	Scheme        string
 	SchemeOptions string
+	CSV           bool
 	Progress      io.Writer
 }
 
 // runExperiments dispatches one experiment id (or "all") through the
-// internal/sim/report registry. Unknown ids return errUnknownExperiment;
-// a canceled ctx returns its error with nothing further printed. Stdout
-// depends only on the params, never on scheduling.
-func runExperiments(ctx context.Context, exp string, p runParams) error {
+// internal/sim/report registry and writes each report's text to stdout as
+// it completes. Unknown ids return errUnknownExperiment; a canceled ctx
+// returns its error with nothing further printed. The output depends only
+// on the params, never on scheduling.
+func runExperiments(ctx context.Context, exp string, p runParams, stdout io.Writer) error {
 	params := report.Params{
 		Cycles: p.Cycles, Warmup: p.Warmup, Trials: p.Trials,
-		Seed: p.Seed, Workers: p.Workers, CSV: csvOut,
+		Seed: p.Seed, Workers: p.Workers, CSV: p.CSV,
 		Scheme: p.Scheme, SchemeOptions: p.SchemeOptions,
 	}
-	ids := report.EccsimIDs()
+	ids := report.AllIDs()
 	if exp != "all" {
-		if !known(exp) {
+		if !report.Known(exp) {
 			return fmt.Errorf("%w: %q", errUnknownExperiment, exp)
 		}
 		ids = []string{exp}
@@ -145,7 +153,7 @@ func runExperiments(ctx context.Context, exp string, p runParams) error {
 	// run with the exact params they always have (the golden byte pin).
 	if exp == "all" {
 		if params.Scheme != "" || params.SchemeOptions != "" {
-			return fmt.Errorf("-scheme/-scheme-options apply to a single scheme-aware experiment (%v), not -exp all", report.ServeIDs())
+			return errors.New("-scheme/-scheme-options apply to a single scheme-aware experiment, not -exp all")
 		}
 	} else if params.Scheme != "" || params.SchemeOptions != "" || report.SchemeAware(exp) {
 		norm, err := params.NormalizedFor(exp)
@@ -160,24 +168,7 @@ func runExperiments(ctx context.Context, exp string, p runParams) error {
 		if err != nil {
 			return err
 		}
-		os.Stdout.WriteString(rep.Text)
+		io.WriteString(stdout, rep.Text)
 	}
 	return nil
-}
-
-// known reports whether exp runs in this CLI: the historical `-exp all` set
-// plus the daemon-first scheme-aware ids (fig2/fig8/fig18 are registered
-// but belong to cmd/faultmc, which this CLI still redirects to).
-func known(exp string) bool {
-	for _, id := range report.EccsimIDs() {
-		if id == exp {
-			return true
-		}
-	}
-	for _, id := range report.ServeIDs() {
-		if id == exp {
-			return true
-		}
-	}
-	return false
 }

@@ -3,34 +3,16 @@ package main
 import (
 	"context"
 	"io"
-	"os"
 	"strings"
 	"testing"
 )
 
-// captureRun executes runExperiments with stdout captured and returns what
-// it printed.
+// captureRun executes runExperiments and returns what it printed.
 func captureRun(t *testing.T, exp string, p runParams) (string, error) {
 	t.Helper()
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := os.Stdout
-	os.Stdout = w
 	var sb strings.Builder
-	done := make(chan error, 1)
-	go func() {
-		_, err := io.Copy(&sb, r)
-		done <- err
-	}()
-	runErr := runExperiments(context.Background(), exp, p)
-	w.Close()
-	os.Stdout = old
-	if err := <-done; err != nil {
-		t.Fatalf("draining stdout: %v", err)
-	}
-	return sb.String(), runErr
+	err := runExperiments(context.Background(), exp, p, &sb)
+	return sb.String(), err
 }
 
 // TestSchemeFlagSelectsScheme: the daemon-first ids run from this CLI when

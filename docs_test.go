@@ -86,7 +86,7 @@ func slugify(heading string) string {
 // toolchain flags that may legitimately appear in docs without being
 // defined by any cmd/* binary.
 var (
-	binaryLineRE = regexp.MustCompile(`(^|[ /])(eccsim|eccsimd|faultmc|tracegen)( |$)`)
+	binaryLineRE = regexp.MustCompile(`(^|[ /])(eccsim|eccsimd|tracegen)( |$)`)
 	flagTokenRE  = regexp.MustCompile(`(^|\s)(-[a-z][a-z0-9-]*)`)
 	codeSpanRE   = regexp.MustCompile("`([^`]+)`")
 	flagDefRE    = regexp.MustCompile(`(?:flag|fs)\.(?:String|Int64|Int|Bool|Float64|Duration)(?:Var)?\((?:&[^,]+,\s*)?"([a-z][a-z0-9-]*)"`)

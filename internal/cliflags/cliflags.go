@@ -1,8 +1,8 @@
-// Package cliflags holds the flag plumbing shared by every experiment
-// binary: the -seed/-workers knobs of the deterministic runners and the
-// -cpuprofile/-memprofile pair wired to internal/prof. Factoring it here
-// keeps the CLIs' contracts identical — same defaults, same usage strings,
-// same validation — instead of drifting per command.
+// Package cliflags holds the flag plumbing of the experiment binaries: the
+// -seed/-workers knobs of the deterministic runners and the
+// -cpuprofile/-memprofile pair wired to internal/prof (cmd/eccsim), and the
+// count validation cmd/eccsimd shares, so both reject the same typos with
+// the same messages.
 package cliflags
 
 import (

@@ -68,10 +68,12 @@ const (
 const PageBytes = 4096
 
 // XORCachelineAddr maps a data line address to the address of the XOR
-// cacheline accumulating its parity updates. Per §IV-C, one XOR cacheline
-// covers the same group of four logically adjacent data lines in N−1
-// logically adjacent physical pages (pages interleave across channels, so
-// N adjacent pages hit N distinct channels).
+// cacheline accumulating its parity updates. One XOR cacheline covers the
+// same group of four logically adjacent data lines in N logically adjacent
+// physical pages (the page group is page / channels; pages interleave
+// across channels, so the N pages hit N distinct channels). §IV-C groups
+// N−1 pages, whose parity lives in the Nth channel: that difference is a
+// pinned divergence (EXPERIMENTS.md, known divergence 4).
 func XORCachelineAddr(dataAddr uint64, channels int) uint64 {
 	page := dataAddr / PageBytes
 	pageGroup := page / uint64(channels)

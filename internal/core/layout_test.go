@@ -161,7 +161,8 @@ func TestXORCachelineCoverage(t *testing.T) {
 	if XORCachelineAddr(base+256, n) == x0 {
 		t.Fatal("fifth line must map to a new XOR cacheline")
 	}
-	// ...and the same region of the N−1 adjacent pages (same page group).
+	// ...and the same region of all N adjacent pages (same page group):
+	// N, not §IV-C's N−1: known divergence 4 of EXPERIMENTS.md.
 	for p := uint64(1); p < uint64(n); p++ {
 		if XORCachelineAddr(base+p*PageBytes, n) != x0 {
 			t.Fatalf("page %d of the group must share the XOR cacheline", p)

@@ -14,38 +14,38 @@ import (
 )
 
 // This file holds the renderer for every experiment id: the text each one
-// emits is byte-for-byte what the CLIs have always printed (the cmd/eccsim
-// golden SHA-256 test pins the eccsim set), plus the structured rows behind
-// the text for JSON consumers.
+// emits is byte-for-byte what cmd/eccsim has always printed (its golden
+// SHA-256 tests pin the `-exp all` set and the Monte Carlo figures), plus
+// the structured rows behind the text for JSON consumers.
 
-// registry maps experiment id → renderer. The eccsim/faultmc split mirrors
-// which CLI historically owned the id; the daemon serves both sets.
+// registry maps experiment id → renderer. inAll marks the ids `eccsim -exp
+// all` runs; every id runs when named, from the CLI or the daemon.
 var registry = map[string]spec{
-	"fig1":       {source: "eccsim", title: "Fig. 1 — capacity overhead breakdown", run: fig1},
-	"table1":     {source: "eccsim", title: "Table I — processor microarchitecture", run: table1},
-	"table2":     {source: "eccsim", title: "Table II — evaluated ECC configurations", run: table2},
-	"table3":     {source: "eccsim", title: "Table III — capacity overheads", run: table3},
-	"fig9":       {source: "eccsim", title: "Fig. 9 — workload bandwidth utilization", run: fig9},
-	"fig10":      {source: "eccsim", title: "Fig. 10 — memory EPI reduction (quad)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figEPI(ctx, r, w, sim.QuadEq) }},
-	"fig11":      {source: "eccsim", title: "Fig. 11 — memory EPI reduction (dual)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figEPI(ctx, r, w, sim.DualEq) }},
-	"fig12":      {source: "eccsim", title: "Fig. 12 — dynamic EPI reduction (quad)", run: figDyn},
-	"fig13":      {source: "eccsim", title: "Fig. 13 — background EPI reduction (quad)", run: figBg},
-	"fig14":      {source: "eccsim", title: "Fig. 14 — performance normalized (quad)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figPerf(ctx, r, w, sim.QuadEq) }},
-	"fig15":      {source: "eccsim", title: "Fig. 15 — performance normalized (dual)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figPerf(ctx, r, w, sim.DualEq) }},
-	"fig16":      {source: "eccsim", title: "Fig. 16 — accesses per instruction normalized (quad)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figAcc(ctx, r, w, sim.QuadEq) }},
-	"fig17":      {source: "eccsim", title: "Fig. 17 — accesses per instruction normalized (dual)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figAcc(ctx, r, w, sim.DualEq) }},
-	"counters":   {source: "eccsim", title: "§III-E — error-counter SRAM budget", run: counters},
-	"hpcstall":   {source: "eccsim", title: "§VI-B — HPC system stall estimate", run: hpcStall},
-	"undetected": {source: "eccsim", title: "§VI-D — undetectable error estimate", run: undetected},
-	"mixedrank":  {source: "eccsim", title: "§VI-A — mixed narrow/wide ranks", run: mixedRank},
-	"fig2":       {source: "faultmc", title: "Fig. 2 — mean time between faults in different channels", run: fig2},
-	"fig8":       {source: "faultmc", title: "Fig. 8 — EOL fraction with materialized correction bits", run: fig8},
-	"fig18":      {source: "faultmc", title: "Fig. 18 — P(multi-channel faults within one scrub window)", run: fig18},
-	"schemeeval": {source: "serve", title: "Scheme evaluation — per-workload IPC/EPI/bandwidth for one configuration", run: schemeEval,
+	"fig1":       {inAll: true, title: "Fig. 1 — capacity overhead breakdown", run: fig1},
+	"table1":     {inAll: true, title: "Table I — processor microarchitecture", run: table1},
+	"table2":     {inAll: true, title: "Table II — evaluated ECC configurations", run: table2},
+	"table3":     {inAll: true, title: "Table III — capacity overheads", run: table3},
+	"fig9":       {inAll: true, title: "Fig. 9 — workload bandwidth utilization", run: fig9},
+	"fig10":      {inAll: true, title: "Fig. 10 — memory EPI reduction (quad)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figEPI(ctx, r, w, sim.QuadEq) }},
+	"fig11":      {inAll: true, title: "Fig. 11 — memory EPI reduction (dual)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figEPI(ctx, r, w, sim.DualEq) }},
+	"fig12":      {inAll: true, title: "Fig. 12 — dynamic EPI reduction (quad)", run: figDyn},
+	"fig13":      {inAll: true, title: "Fig. 13 — background EPI reduction (quad)", run: figBg},
+	"fig14":      {inAll: true, title: "Fig. 14 — performance normalized (quad)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figPerf(ctx, r, w, sim.QuadEq) }},
+	"fig15":      {inAll: true, title: "Fig. 15 — performance normalized (dual)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figPerf(ctx, r, w, sim.DualEq) }},
+	"fig16":      {inAll: true, title: "Fig. 16 — accesses per instruction normalized (quad)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figAcc(ctx, r, w, sim.QuadEq) }},
+	"fig17":      {inAll: true, title: "Fig. 17 — accesses per instruction normalized (dual)", run: func(ctx context.Context, r *Runner, w io.Writer) (any, error) { return figAcc(ctx, r, w, sim.DualEq) }},
+	"counters":   {inAll: true, title: "§III-E — error-counter SRAM budget", run: counters},
+	"hpcstall":   {inAll: true, title: "§VI-B — HPC system stall estimate", run: hpcStall},
+	"undetected": {inAll: true, title: "§VI-D — undetectable error estimate", run: undetected},
+	"mixedrank":  {inAll: true, title: "§VI-A — mixed narrow/wide ranks", run: mixedRank},
+	"fig2":       {title: "Fig. 2 — mean time between faults in different channels", run: fig2},
+	"fig8":       {title: "Fig. 8 — EOL fraction with materialized correction bits", run: fig8},
+	"fig18":      {title: "Fig. 18 — P(multi-channel faults within one scrub window)", run: fig18},
+	"schemeeval": {title: "Scheme evaluation — per-workload IPC/EPI/bandwidth for one configuration", run: schemeEval,
 		defaultScheme: "ondie+chipkill"},
-	"faultinject": {source: "serve", title: "Fault injection — codeword-level Monte Carlo outcomes for one scheme", run: faultInject,
+	"faultinject": {title: "Fault injection — codeword-level Monte Carlo outcomes for one scheme", run: faultInject,
 		defaultScheme: "ondie+chipkill", codecLevel: true},
-	"harpprofile": {source: "serve", title: "HARP profiling — at-risk bit coverage, on-die ECC active vs bypassed", run: harpProfile},
+	"harpprofile": {title: "HARP profiling — at-risk bit coverage, on-die ECC active vs bypassed", run: harpProfile},
 }
 
 func header(w io.Writer, title string) {

@@ -1,7 +1,7 @@
 // Package report exposes every experiment of the paper's evaluation as a
 // library call returning a structured result, instead of a CLI printing to
-// stdout. cmd/eccsim, cmd/faultmc and the eccsimd daemon all dispatch
-// through the one registry here, so the rendered bytes of an experiment are
+// stdout. cmd/eccsim and the eccsimd daemon both dispatch through the one
+// registry here, so the rendered bytes of an experiment are
 // identical no matter which front end asked for it.
 //
 // The determinism contract the daemon's result cache is built on lives at
@@ -151,9 +151,9 @@ func (r *Runner) fig9Rows(ctx context.Context) ([]sim.Fig9Row, error) {
 // (typically ctx.Err() after a cancel), in which case the partial text is
 // discarded.
 type spec struct {
-	source string // "eccsim", "faultmc" or "serve": which front end owns the id
-	title  string
-	run    func(ctx context.Context, r *Runner, w io.Writer) (any, error)
+	inAll bool // `eccsim -exp all` runs this id
+	title string
+	run   func(ctx context.Context, r *Runner, w io.Writer) (any, error)
 	// A non-empty defaultScheme makes the experiment scheme-aware: it
 	// honours Params.Scheme/SchemeOptions, and an empty Params.Scheme
 	// resolves to defaultScheme. codecLevel experiments drive the codec
@@ -202,30 +202,13 @@ func IDs() []string {
 	return out
 }
 
-// EccsimIDs returns the ids `eccsim -exp all` runs, in its (sorted)
-// execution order.
-func EccsimIDs() []string {
+// AllIDs returns the ids `eccsim -exp all` runs, in its (sorted)
+// execution order. The Monte Carlo figures (fig2, fig8, fig18) and the
+// scheme-aware experiments are outside it and run only when named.
+func AllIDs() []string {
 	out := []string{}
 	for id, sp := range registry {
-		if sp.source == "eccsim" {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// FaultmcIDs returns the ids `faultmc -exp all` runs, in its execution
-// order (fig2 first: its output opens without a leading blank line).
-func FaultmcIDs() []string { return []string{"fig2", "fig8", "fig18"} }
-
-// ServeIDs returns the daemon-first experiment ids, sorted: registered
-// experiments outside both CLIs' historical `-exp all` sets (the CLIs
-// still run them when named explicitly).
-func ServeIDs() []string {
-	out := []string{}
-	for id, sp := range registry {
-		if sp.source == "serve" {
+		if sp.inAll {
 			out = append(out, id)
 		}
 	}

@@ -1,8 +1,7 @@
 package report
 
-// The daemon-first experiments added with the scheme layer: none of them
-// belongs to a CLI's historical `-exp all` set (source "serve"), so the
-// golden byte-identity of cmd/eccsim and cmd/faultmc is untouched, but all
+// The daemon-first experiments added with the scheme layer: none of them is
+// in `eccsim -exp all`, so its golden byte-identity is untouched, but all
 // three run through the same Runner/registry plumbing — servable, cacheable
 // and sweepable like every figure.
 

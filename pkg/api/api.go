@@ -152,8 +152,8 @@ type Params struct {
 	SchemeOptions string  `json:"scheme_options,omitempty"`
 }
 
-// Report is one experiment's rendered output: the exact text the eccsim /
-// faultmc CLIs print plus the structured rows behind it. Data's shape is
+// Report is one experiment's rendered output: the exact text the eccsim
+// CLI prints plus the structured rows behind it. Data's shape is
 // figure-specific; clients that care unmarshal it into their own types.
 type Report struct {
 	Experiment string          `json:"experiment"`
