@@ -244,18 +244,24 @@ func (b *Backend) Get(ctx context.Context, key string) ([]byte, error) {
 
 	// Group consistent shards by stripe identity and take the largest
 	// group: shards left over from an older geometry or a different payload
-	// generation lose the vote and are treated as corrupt.
+	// generation lose the vote and are treated as corrupt. Groups are
+	// visited in root order, so a tie (possible only when k ≤ m) goes to
+	// the group holding the lowest-numbered root on every read.
 	groups := map[string][]int{}
+	var order []string
 	for i := range b.roots {
 		if states[i] == shardOK {
 			id := headers[i].stripeID()
+			if groups[id] == nil {
+				order = append(order, id)
+			}
 			groups[id] = append(groups[id], i)
 		}
 	}
 	var best []int
-	for _, members := range groups {
-		if len(members) > len(best) {
-			best = members
+	for _, id := range order {
+		if len(groups[id]) > len(best) {
+			best = groups[id]
 		}
 	}
 

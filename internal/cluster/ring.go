@@ -157,9 +157,6 @@ func (r *Ring) OwnedFraction(id string) float64 {
 // id=baseURL pairs, e.g. "a=http://h1:8344,b=http://h2:8344". Order does not
 // matter (the ring sorts by id).
 func ParsePeers(s string) ([]Node, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("cluster: empty peer list")
-	}
 	var nodes []Node
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
@@ -170,10 +167,15 @@ func ParsePeers(s string) ([]Node, error) {
 		if !ok || id == "" || addr == "" {
 			return nil, fmt.Errorf("cluster: peer %q must be id=baseURL", part)
 		}
-		if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
+		// Trim first: "http://" alone trims to "http:", which is no base URL.
+		base := strings.TrimRight(addr, "/")
+		if !strings.HasPrefix(base, "http://") && !strings.HasPrefix(base, "https://") {
 			return nil, fmt.Errorf("cluster: peer %s address %q must be an http(s) base URL", id, addr)
 		}
-		nodes = append(nodes, Node{ID: id, Addr: strings.TrimRight(addr, "/")})
+		nodes = append(nodes, Node{ID: id, Addr: base})
+	}
+	if len(nodes) == 0 {
+		return nil, fmt.Errorf("cluster: empty peer list %q", s)
 	}
 	return nodes, nil
 }

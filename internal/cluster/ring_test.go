@@ -141,7 +141,7 @@ func TestParsePeers(t *testing.T) {
 	if nodes[1].ID != "b" || nodes[1].Addr != "http://h2:8344" {
 		t.Fatalf("node b = %+v (trailing slash should be trimmed)", nodes[1])
 	}
-	for _, bad := range []string{"", "a", "a=", "=http://x", "a=ftp://x"} {
+	for _, bad := range []string{"", ",", " , ", ",,", "a", "a=", "=http://x", "a=ftp://x"} {
 		if _, err := ParsePeers(bad); err == nil {
 			t.Errorf("ParsePeers(%q): expected error", bad)
 		}

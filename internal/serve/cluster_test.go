@@ -3,18 +3,22 @@ package serve
 import (
 	"bytes"
 	"context"
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"eccparity/internal/blob"
 	"eccparity/internal/blob/ec"
 	"eccparity/internal/cluster"
+	"eccparity/internal/jobqueue"
 	"eccparity/internal/resultcache"
 	"eccparity/internal/sim/report"
 	"eccparity/pkg/api"
@@ -314,9 +318,32 @@ func TestClusterSweepSurvivesReplicaDeath(t *testing.T) {
 	}
 }
 
+// noRedirects is an HTTP client that reports a redirect instead of
+// following it, so a test sees exactly what the replica answered.
+var noRedirects = &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+	return http.ErrUseLastResponse
+}}
+
+// getResult reads a result document from one replica and returns the
+// status, the replica that served it, and the body.
+func getResult(t *testing.T, url, hash string) (int, string, []byte) {
+	t.Helper()
+	resp, err := noRedirects.Get(url + "/v1/results/" + hash)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, resp.Header.Get(servedByHeader), b
+}
+
 // Without a shared tier, a result read on a replica that never computed it
-// 307-redirects to the hash owner; the stock client follows transparently.
-func TestClusterResultRedirect(t *testing.T) {
+// is proxied server-side to the hash owner: the client sees a plain 200 with
+// the owner's bytes, never a redirect.
+func TestClusterResultProxiedRead(t *testing.T) {
 	nodes, ring := startCluster(t, 2, nil)
 	seed := seedOwnedBy(t, ring, "b", 1)
 
@@ -330,19 +357,141 @@ func TestClusterResultRedirect(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	got, err := ca.ResultBytes(ctx, sr.ResultHash)
-	if err != nil {
-		t.Fatalf("redirected result read: %v", err)
+	before := nodes[0].srv.metrics.peerProxiedReads.Load()
+	code, servedBy, got := getResult(t, nodes[0].url, sr.ResultHash)
+	if code != http.StatusOK || servedBy != "b" {
+		t.Fatalf("result read on a: status %d served by %q, want 200 from owner b", code, servedBy)
 	}
 	direct, err := api.NewClient(nodes[1].url).ResultBytes(ctx, sr.ResultHash)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, direct) {
-		t.Fatal("redirected read returned different bytes than the owner")
+		t.Fatal("proxied read returned different bytes than the owner")
 	}
-	if nodes[0].srv.metrics.resultsRedirected.Load() == 0 {
-		t.Error("results_redirected not counted")
+	if nodes[0].srv.metrics.peerProxiedReads.Load() == before {
+		t.Error("peer_proxied_reads not counted for the result read")
+	}
+}
+
+// A dead owner costs the reader nothing: replica a computes a result by
+// fallback while its owner c is down, and a read on replica b (which holds
+// nothing) skips the dead owner and serves a's bytes.
+func TestClusterResultReadSurvivesDeadOwner(t *testing.T) {
+	nodes, ring := startCluster(t, 3, nil)
+	seed := seedOwnedBy(t, ring, "c", 1)
+	nodes[2].kill()
+
+	ca := api.NewClient(nodes[0].url)
+	ctx := context.Background()
+	sr, err := ca.Submit(ctx, submitSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(sr.JobID, "a:") {
+		t.Fatalf("job id %q: fallback should run locally on a", sr.JobID)
+	}
+	if js, err := ca.Wait(ctx, sr.JobID, 10*time.Millisecond); err != nil || js.Status != api.StatusDone {
+		t.Fatalf("fallback job: %+v, %v", js, err)
+	}
+	want, err := ca.ResultBytes(ctx, sr.ResultHash)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	code, servedBy, got := getResult(t, nodes[1].url, sr.ResultHash)
+	if code != http.StatusOK || servedBy != "a" {
+		t.Fatalf("result read on b: status %d served by %q, want 200 from a", code, servedBy)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("read on b returned different bytes than a computed")
+	}
+}
+
+// A relayed result read that misses answers 404 from this replica's own
+// tiers and asks no peer, which bounds the proxy at one hop. The same miss
+// from a client does ask the peer.
+func TestClusterRelayedResultReadIsOneHop(t *testing.T) {
+	var peerHits atomic.Int64
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		peerHits.Add(1)
+		http.NotFound(w, r)
+	}))
+	t.Cleanup(peer.Close)
+	_, ts := newServer(t, Options{Workers: 1, NodeID: "a", Peers: []cluster.Node{
+		{ID: "a", Addr: "http://127.0.0.1:1"},
+		{ID: "b", Addr: peer.URL},
+	}})
+	missing := ts.URL + "/v1/results/" + strings.Repeat("e", 64)
+
+	req, err := http.NewRequest(http.MethodGet, missing, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(relayHeader, "b")
+	resp, err := noRedirects.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound || peerHits.Load() != 0 {
+		t.Fatalf("relayed miss: status %d after %d peer requests, want 404 after none", resp.StatusCode, peerHits.Load())
+	}
+
+	if code, _ := getBody(t, missing); code != http.StatusNotFound || peerHits.Load() != 1 {
+		t.Fatalf("client miss: status %d after %d peer requests, want 404 after one", code, peerHits.Load())
+	}
+}
+
+// A single submission whose owner's queue is full runs on the receiving
+// replica, as a sweep point does, instead of relaying the owner's 429.
+func TestClusterSubmitRunsLocallyWhenOwnerSaturated(t *testing.T) {
+	nodes, ring := startCluster(t, 2, nil)
+	owner := nodes[1]
+	release := make(chan struct{})
+	t.Cleanup(func() { close(release) }) // before the fleet drains
+	started := make(chan struct{}, 1)
+	held := func(ctx context.Context) (any, error) {
+		select {
+		case started <- struct{}{}:
+		default:
+		}
+		select {
+		case <-release:
+			return "held", nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+	}
+	// Occupy every job worker first, so the buffer only fills after.
+	for range owner.srv.opts.JobWorkers {
+		if _, err := owner.srv.queue.Submit(held); err != nil {
+			t.Fatal(err)
+		}
+		<-started
+	}
+	for full := false; !full; {
+		_, err := owner.srv.queue.Submit(held)
+		full = errors.Is(err, jobqueue.ErrFull)
+		if err != nil && !full {
+			t.Fatal(err)
+		}
+	}
+
+	ca := api.NewClient(nodes[0].url)
+	ctx := context.Background()
+	sr, err := ca.Submit(ctx, submitSeed(seedOwnedBy(t, ring, owner.id, 1)))
+	if err != nil {
+		t.Fatalf("submit with a saturated owner: %v", err)
+	}
+	if !strings.HasPrefix(sr.JobID, "a:") {
+		t.Fatalf("job id %q: a saturated owner should mean local execution on a", sr.JobID)
+	}
+	if js, err := ca.Wait(ctx, sr.JobID, 10*time.Millisecond); err != nil || js.Status != api.StatusDone {
+		t.Fatalf("local job: %+v, %v", js, err)
+	}
+	if nodes[0].srv.metrics.peerForwardFallback.Load() == 0 {
+		t.Error("peer_forward_fallback not counted")
 	}
 }
 

@@ -37,16 +37,15 @@ type metrics struct {
 	sweepPointsComputed atomic.Uint64
 	sweepCancels        atomic.Uint64
 
-	// Cluster counters (peer.go): submissions forwarded to their ring
-	// owner, forwards that fell back to local execution, reads proxied to
-	// peers, sweep points adopted from unreachable owners, and result
-	// reads answered with a 307 to the hash owner. Emitted only when the
-	// server is clustered, so single-node /metrics output is unchanged.
+	// Cluster counters (peer.go): submissions and sweep points forwarded
+	// to their ring owner, forwards that fell back to local execution,
+	// job, sweep and result reads proxied to peers, and sweep points
+	// adopted from unreachable owners. Emitted only when the server is
+	// clustered, so single-node /metrics output is unchanged.
 	peerForwarded       atomic.Uint64
 	peerForwardFallback atomic.Uint64
 	peerProxiedReads    atomic.Uint64
 	peerAdoptedPoints   atomic.Uint64
-	resultsRedirected   atomic.Uint64
 }
 
 func newMetrics() *metrics {
@@ -186,7 +185,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("eccsimd_peer_forward_fallback_total", "Forwards that fell back to local execution (owner unreachable or saturated).", s.metrics.peerForwardFallback.Load())
 		counter("eccsimd_peer_proxied_reads_total", "Job/sweep/result reads proxied to the replica holding the record.", s.metrics.peerProxiedReads.Load())
 		counter("eccsimd_peer_adopted_points_total", "Sweep points adopted locally after their owner stopped answering.", s.metrics.peerAdoptedPoints.Load())
-		counter("eccsimd_results_redirected_total", "Result reads answered with a 307 redirect to the hash owner.", s.metrics.resultsRedirected.Load())
 	}
 
 	b.WriteString("# HELP eccsimd_experiment_latency_ms Experiment computation latency (cache misses only).\n")

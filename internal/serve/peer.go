@@ -12,13 +12,15 @@ package serve
 //     X-Eccsimd-Served-By header naming the replica that answered.
 //   - Job and sweep ids gain a "<node>:" prefix so reads and cancels can be
 //     routed straight to the node that holds the record, from any replica.
-//   - Result reads miss-redirect (307) to the hash owner, or proxy-fan-out
-//     when the client asks for no_redirect=1 (the pkg/api client does after
-//     a redirect hop fails — e.g. the owner died after redirecting).
-//   - Every failure degrades toward local execution: an unreachable owner
-//     means the receiving replica computes the point itself. Determinism
-//     makes that safe — the same config yields byte-identical results on
-//     any replica, so the worst case is duplicated work, never divergence.
+//   - A result read that misses locally is proxied server-side: the hash
+//     owner is asked first, then every other peer in ring order, and the
+//     first 200 streams back. Any HTTP client works against any replica,
+//     and a dead owner costs the client nothing.
+//   - Every failure degrades toward local execution: an unreachable,
+//     saturated or draining owner means the receiving replica computes
+//     the submission or sweep point itself. Determinism makes that safe —
+//     the same config yields byte-identical results on any replica, so the
+//     worst case is duplicated work, never divergence.
 //
 // Forwarded requests carry X-Eccsimd-Relay naming the forwarding node; a
 // relayed request is always handled locally, which bounds every forwarding
@@ -132,29 +134,6 @@ func (p *peering) peerDo(ctx context.Context, method, url string, body []byte) (
 	return p.hc.Do(req)
 }
 
-// forwardSubmit relays a decoded submission to its owner replica and copies
-// the owner's response through verbatim. Returns false when the owner was
-// unreachable — the caller then executes locally (fallback beats failure:
-// determinism makes duplicate computation safe).
-func (s *Server) forwardSubmit(w http.ResponseWriter, r *http.Request, owner cluster.Node, req api.SubmitRequest) bool {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return false
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), peerSubmitTimeout)
-	defer cancel()
-	resp, err := s.peers.peerDo(ctx, http.MethodPost, owner.Addr+"/v1/experiments", body)
-	if err != nil {
-		s.metrics.peerForwardFallback.Add(1)
-		return false
-	}
-	defer resp.Body.Close()
-	s.metrics.peerForwarded.Add(1)
-	w.Header().Set(servedByHeader, owner.ID)
-	copyResponse(w, resp)
-	return true
-}
-
 // proxyToNode forwards the incoming request as-is (path, query, body) to a
 // named peer and streams the response back, flushing per chunk so proxied
 // NDJSON watch streams stay live. Unknown or unreachable peers answer 502 —
@@ -190,9 +169,6 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		w.Header().Set("Retry-After", ra)
-	}
 	w.WriteHeader(resp.StatusCode)
 	flusher, _ := w.(http.Flusher)
 	buf := make([]byte, 32*1024)
@@ -212,39 +188,45 @@ func copyResponse(w http.ResponseWriter, resp *http.Response) {
 	}
 }
 
-// proxyResultRead is the no_redirect fan-out: the local cache missed, so
-// ask every other replica directly (relay-tagged, so they answer from their
-// own caches). First 200 wins. Used when the client explicitly declined a
-// redirect — typically because it already followed one into a dead node.
+// proxyResultRead serves a result the local tiers missed from a peer. It
+// asks the hash owner first — the replica most likely to hold the bytes —
+// then every other peer in ring order, each relay-tagged so it answers from
+// its own tiers. The first 200 streams back; false means no peer had it.
 func (s *Server) proxyResultRead(w http.ResponseWriter, r *http.Request, hash string) bool {
-	for _, n := range s.peers.ring.Nodes() {
-		if n.ID == s.peers.self.ID {
+	owner, _ := s.owner(hash)
+	for i, n := range append([]cluster.Node{owner}, s.peers.ring.Nodes()...) {
+		if n.ID == s.peers.self.ID || (i > 0 && n.ID == owner.ID) {
 			continue
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), peerSubmitTimeout)
-		resp, err := s.peers.peerDo(ctx, http.MethodGet, n.Addr+"/v1/results/"+hash+"?no_redirect=1", nil)
-		if err != nil {
-			cancel()
-			continue
-		}
-		if resp.StatusCode == http.StatusOK {
-			s.metrics.peerProxiedReads.Add(1)
-			w.Header().Set(servedByHeader, n.ID)
-			copyResponse(w, resp)
-			resp.Body.Close()
-			cancel()
+		if s.proxyResultFrom(w, r, n, hash) {
 			return true
 		}
-		resp.Body.Close()
-		cancel()
 	}
 	return false
 }
 
-// remoteSubmit forwards one sweep point to its owner as a relay-tagged
-// single submission and reports what came back: a cache hit, an accepted
-// remote job, or (on any transport/queue trouble) ok=false so the caller
-// runs the point locally.
+// proxyResultFrom asks one peer for hash and streams a 200 back.
+func (s *Server) proxyResultFrom(w http.ResponseWriter, r *http.Request, n cluster.Node, hash string) bool {
+	ctx, cancel := context.WithTimeout(r.Context(), peerSubmitTimeout)
+	defer cancel()
+	resp, err := s.peers.peerDo(ctx, http.MethodGet, n.Addr+"/v1/results/"+hash, nil)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return false
+	}
+	s.metrics.peerProxiedReads.Add(1)
+	w.Header().Set(servedByHeader, n.ID)
+	copyResponse(w, resp)
+	return true
+}
+
+// remoteSubmit forwards one submission or sweep point to its owner as a
+// relay-tagged single submission and reports what came back: a cache hit,
+// an accepted remote job, or (on any transport/queue trouble, a full or
+// draining owner included) ok=false so the caller runs it locally.
 func (s *Server) remoteSubmit(ctx context.Context, owner cluster.Node, req api.SubmitRequest) (resp api.SubmitResponse, ok bool) {
 	body, err := json.Marshal(req)
 	if err != nil {

@@ -263,10 +263,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// Cluster routing: a submission whose content address is owned by
 	// another replica is forwarded there, so identical configs submitted
 	// anywhere coalesce on one node's singleflight. Relayed requests stay
-	// local (one-hop bound), and an unreachable owner falls through to
-	// local execution — determinism makes the duplicate compute safe.
+	// local (one-hop bound), and an owner that is unreachable, saturated or
+	// draining falls through to local execution — determinism makes the
+	// duplicate compute safe.
 	if owner, local := s.owner(key); !local && !relayed(r) {
-		if s.forwardSubmit(w, r, owner, req) {
+		if resp, ok := s.remoteSubmit(r.Context(), owner, req); ok {
+			code := http.StatusAccepted
+			if resp.Cached {
+				code = http.StatusOK
+			}
+			w.Header().Set(servedByHeader, owner.ID)
+			writeJSON(w, code, resp)
 			return
 		}
 	}
@@ -542,20 +549,10 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		w.Write(b)
 		return
 	}
-	if s.clustered() && !relayed(r) {
-		// The local tiers missed. The hash owner is the replica most likely
-		// to hold the bytes — redirect the client there, unless it asked not
-		// to (no_redirect=1: it already followed a redirect into a dead
-		// node), in which case fan the read out to the peers ourselves.
-		owner, local := s.owner(hash)
-		if !local && r.URL.Query().Get("no_redirect") != "1" {
-			s.metrics.resultsRedirected.Add(1)
-			http.Redirect(w, r, owner.Addr+"/v1/results/"+hash, http.StatusTemporaryRedirect)
-			return
-		}
-		if s.proxyResultRead(w, r, hash) {
-			return
-		}
+	// The local tiers missed. A client's read asks the peers; a relayed
+	// read answers from this replica's tiers only (one-hop bound).
+	if s.clustered() && !relayed(r) && s.proxyResultRead(w, r, hash) {
+		return
 	}
 	httpError(w, http.StatusNotFound, api.CodeNotFound, "no result for hash %q", hash)
 }

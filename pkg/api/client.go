@@ -9,7 +9,6 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"strings"
 	"time"
 )
@@ -419,46 +418,7 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	resp, err := hc.Do(req)
-	if err != nil && method == http.MethodGet {
-		if retry, ok := c.redirectRetry(ctx, path, err); ok {
-			return retry, nil
-		}
-	}
-	return resp, err
-}
-
-// redirectRetry handles a failed cross-node redirect hop: a clustered
-// server may answer a read with 307 to the owning replica, and that
-// replica can die between issuing the redirect and the client following
-// it. When the transport error's URL points at a different host than
-// BaseURL, the origin is retried once with no_redirect=1 — it then
-// proxies or answers definitively itself.
-func (c *Client) redirectRetry(ctx context.Context, path string, err error) (*http.Response, bool) {
-	var ue *url.Error
-	if !errors.As(err, &ue) || strings.HasPrefix(ue.URL, c.BaseURL+"/") || ue.URL == c.BaseURL {
-		return nil, false
-	}
-	if !sleepCtx(ctx, jittered(reconnectBase)) {
-		return nil, false
-	}
-	sep := "?"
-	if strings.Contains(path, "?") {
-		sep = "&"
-	}
-	req, rerr := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path+sep+"no_redirect=1", nil)
-	if rerr != nil {
-		return nil, false
-	}
-	hc := c.HTTPClient
-	if hc == nil {
-		hc = http.DefaultClient
-	}
-	resp, rerr := hc.Do(req)
-	if rerr != nil {
-		return nil, false
-	}
-	return resp, true
+	return hc.Do(req)
 }
 
 // decodeError turns a non-2xx response into an *Error, falling back to the

@@ -184,50 +184,6 @@ func TestWatchSweepCtxCancelDuringBackoff(t *testing.T) {
 	}
 }
 
-// A GET whose cross-node redirect hop dies is retried against the origin
-// with no_redirect=1, so the origin can proxy or answer definitively.
-func TestRedirectRetryFallsBackToOrigin(t *testing.T) {
-	// An address that refuses connections: a listener we closed.
-	dead := httptest.NewServer(http.NotFoundHandler())
-	deadURL := dead.URL
-	dead.Close()
-
-	res := Result{Hash: strings.Repeat("c", 64), Experiment: "fig8"}
-	var direct, noRedirect int32
-	origin := watchServer(t, func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Query().Get("no_redirect") == "1" {
-			atomic.AddInt32(&noRedirect, 1)
-			w.Header().Set("Content-Type", "application/json")
-			json.NewEncoder(w).Encode(res)
-			return
-		}
-		atomic.AddInt32(&direct, 1)
-		http.Redirect(w, r, deadURL+r.URL.Path, http.StatusTemporaryRedirect)
-	})
-	c := NewClient(origin.URL)
-	got, err := c.Result(context.Background(), res.Hash)
-	if err != nil {
-		t.Fatalf("Result after dead redirect hop: %v", err)
-	}
-	if got.Hash != res.Hash || got.Experiment != "fig8" {
-		t.Fatalf("got %+v, want %+v", got, res)
-	}
-	if atomic.LoadInt32(&direct) != 1 || atomic.LoadInt32(&noRedirect) != 1 {
-		t.Fatalf("direct=%d noRedirect=%d, want 1/1", direct, noRedirect)
-	}
-}
-
-// A plain connection failure to the origin itself is NOT retried with
-// no_redirect — the retry is reserved for failed redirect hops.
-func TestNoRedirectRetryOnOriginFailure(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1")
-	c.HTTPClient = &http.Client{Timeout: 100 * time.Millisecond}
-	_, err := c.Result(context.Background(), strings.Repeat("d", 64))
-	if err == nil {
-		t.Fatal("expected a transport error")
-	}
-}
-
 // TestWaitBacksOffWhenServerAnswersEarly: against a server that ignores
 // ?wait= and answers at once, Wait still long-polls (every request asks
 // for a window) and pauses poll between non-terminal answers instead of
