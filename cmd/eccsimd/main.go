@@ -39,6 +39,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"strings"
@@ -160,6 +161,12 @@ func main() {
 		}
 		opts.Blob = backend
 	case *blobDir != "":
+		if *cacheDir != "" && filepath.Clean(*cacheDir) == filepath.Clean(*blobDir) {
+			// Both tiers are blob.FS layouts: one directory would let the
+			// local byte budget evict the fleet's shared results.
+			fmt.Fprintln(os.Stderr, "-cache-dir and -blob-dir must name different directories")
+			os.Exit(2)
+		}
 		fs, err := blob.NewFS(*blobDir)
 		if err != nil {
 			log.Fatal(err)

@@ -1,11 +1,11 @@
-// Package blob defines the pluggable shared-storage backend behind the
-// result cache's second tier: a flat content-addressed namespace of
-// checksummed payloads keyed by 64-hex-char SHA-256 addresses (the same
-// keys internal/resultcache already uses). A backend is anything the whole
-// fleet can reach — the filesystem implementation in this package covers an
-// NFS/SMB shared mount out of the box and is layout-compatible with an
-// S3-style object store (one object per key, atomic visibility, no partial
-// reads).
+// Package blob defines the pluggable storage backend behind the result
+// cache's disk tiers: a flat content-addressed namespace of checksummed
+// payloads keyed by 64-hex-char SHA-256 addresses (the same keys
+// internal/resultcache uses). The cache's local tier is an FS on the
+// daemon's own -cache-dir; its shared tier is anything the whole fleet can
+// reach — the filesystem implementation in this package covers an NFS/SMB
+// shared mount out of the box and is layout-compatible with an S3-style
+// object store (one object per key, atomic visibility, no partial reads).
 //
 // Every payload is framed ("eccbl1 " + SHA-256 hex + "\n" + payload) so a
 // torn write, truncation, or bit rot on the shared medium is detected at
@@ -86,11 +86,17 @@ const frameMagic = "eccbl1 "
 // every backend: magic, SHA-256 hex of the payload, newline, payload.
 func EncodeFrame(payload []byte) []byte {
 	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, len(frameMagic)+64+1+len(payload))
+	out := make([]byte, 0, FramedSize(len(payload)))
 	out = append(out, frameMagic...)
 	out = append(out, hex.EncodeToString(sum[:])...)
 	out = append(out, '\n')
 	return append(out, payload...)
+}
+
+// FramedSize is the stored size of an n-byte payload: the length of its
+// EncodeFrame output.
+func FramedSize(n int) int64 {
+	return int64(len(frameMagic) + 2*sha256.Size + 1 + n)
 }
 
 // DecodeFrame verifies a framed blob and returns its payload, or ok=false

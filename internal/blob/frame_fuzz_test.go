@@ -7,7 +7,8 @@ import (
 
 // FuzzDecodeFrame: DecodeFrame never panics, accepts exactly the frames
 // EncodeFrame produces (so an accepted input re-encodes to itself),
-// round-trips every payload, and rejects any frame with one byte changed.
+// round-trips every payload, and rejects any frame with one byte changed;
+// FramedSize predicts every frame's length.
 func FuzzDecodeFrame(f *testing.F) {
 	good := EncodeFrame([]byte(`{"result": 42}`))
 	f.Add(good, []byte(`{"result": 42}`), uint(0), byte(1))
@@ -20,6 +21,9 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("DecodeFrame accepted a non-canonical frame %q", raw)
 		}
 		frame := EncodeFrame(payload)
+		if int64(len(frame)) != FramedSize(len(payload)) {
+			t.Fatalf("FramedSize(%d) = %d, frame is %d bytes", len(payload), FramedSize(len(payload)), len(frame))
+		}
 		got, ok := DecodeFrame(frame)
 		if !ok || !bytes.Equal(got, payload) {
 			t.Fatalf("round trip of %q: ok=%v got %q", payload, ok, got)

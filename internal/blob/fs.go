@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"time"
 )
 
 // FS is the filesystem Backend: one framed file per key under a root
@@ -187,17 +188,48 @@ func (f *FS) Delete(ctx context.Context, key string) error {
 	return nil
 }
 
-// List implements Backend: every well-formed key found under the fan-out
-// directories. Tmp orphans and stray files are skipped, not errors.
+// Entry is one stored blob as Entries reports it.
+type Entry struct {
+	Key     string
+	Size    int64     // framed size on disk: FramedSize of the payload
+	ModTime time.Time // when the blob was last written
+}
+
+// Entries returns every stored blob with its framed size and mtime, in
+// unspecified order: the corpus a size-budgeted tier rebuilds its LRU
+// index from. A blob deleted while the walk runs is skipped.
+func (f *FS) Entries(ctx context.Context) ([]Entry, error) {
+	var out []Entry
+	err := f.walk(ctx, func(key string, e fs.DirEntry) {
+		if info, err := e.Info(); err == nil {
+			out = append(out, Entry{Key: key, Size: info.Size(), ModTime: info.ModTime()})
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// List implements Backend.
 func (f *FS) List(ctx context.Context) ([]string, error) {
 	var keys []string
+	if err := f.walk(ctx, func(key string, _ fs.DirEntry) { keys = append(keys, key) }); err != nil {
+		return nil, err
+	}
+	return keys, nil
+}
+
+// walk calls fn for every well-formed key found under the fan-out
+// directories. Tmp orphans and stray files are skipped, not errors.
+func (f *FS) walk(ctx context.Context, fn func(key string, e fs.DirEntry)) error {
 	dirs, err := os.ReadDir(f.root)
 	if err != nil {
-		return nil, fmt.Errorf("blob: %w", err)
+		return fmt.Errorf("blob: %w", err)
 	}
 	for _, d := range dirs {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return err
 		}
 		if !d.IsDir() || len(d.Name()) != 2 {
 			continue
@@ -209,9 +241,9 @@ func (f *FS) List(ctx context.Context) ([]string, error) {
 		for _, e := range entries {
 			key, ok := strings.CutSuffix(e.Name(), ".blob")
 			if ok && ValidKey(key) && strings.HasPrefix(key, d.Name()) {
-				keys = append(keys, key)
+				fn(key, e)
 			}
 		}
 	}
-	return keys, nil
+	return nil
 }

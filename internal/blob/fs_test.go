@@ -271,6 +271,34 @@ func TestList(t *testing.T) {
 	}
 }
 
+// TestEntries: every stored blob is reported with its framed size and
+// mtime, and stray files are skipped, as List skips them.
+func TestEntries(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	fs, _ := NewFS(dir)
+	payloads := map[string][]byte{key("a"): []byte("one"), key("b"): bytes.Repeat([]byte("z"), 300)}
+	for k, p := range payloads {
+		if err := fs.Put(ctx, k, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	os.WriteFile(filepath.Join(dir, key("a")[:2], "stray.txt"), []byte("x"), 0o644)
+	got, err := fs.Entries(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(payloads) {
+		t.Fatalf("Entries = %+v, want %d blobs", got, len(payloads))
+	}
+	for _, e := range got {
+		p, ok := payloads[e.Key]
+		if !ok || e.Size != FramedSize(len(p)) || e.ModTime.IsZero() {
+			t.Errorf("entry %+v: want key in %d puts, size %d, nonzero mtime", e, len(payloads), FramedSize(len(p)))
+		}
+	}
+}
+
 func TestCanceledContext(t *testing.T) {
 	fs, _ := NewFS(t.TempDir())
 	ctx, cancel := context.WithCancel(context.Background())

@@ -1,6 +1,9 @@
 package ecc
 
-import "fmt"
+import (
+	"bytes"
+	"fmt"
+)
 
 // LOTECC models LOT-ECC (Udipi et al., ISCA'12), the localized-and-tiered
 // chipkill scheme, in its two rank shapes evaluated by the paper:
@@ -198,7 +201,7 @@ func (s *LOTECC) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, err
 	switch len(det.SuspectChips) {
 	case 0:
 		// Data checksums pass. If GEC agrees too, nothing to do.
-		if eqBytes(s.gecOf(cw), corr) {
+		if bytes.Equal(s.gecOf(cw), corr) {
 			return s.Data(cw), &CorrectReport{}, nil
 		}
 		// GEC disagrees while every checksum passes: a shard was corrupted
@@ -216,14 +219,14 @@ func (s *LOTECC) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, err
 		}
 		// Repair failed its checksum: perhaps the LED entry is the corrupt
 		// party. Data intact iff GEC agrees with the raw shards.
-		if eqBytes(s.gecOf(cw), corr) {
+		if bytes.Equal(s.gecOf(cw), corr) {
 			return s.Data(cw), &CorrectReport{CorrectedChips: []int{s.dataChips}}, nil
 		}
 		return nil, nil, ErrUncorrectable
 	default:
 		// Multiple suspects: consistent with a dead LED device (all its
 		// checksums garbage) while data is fine. Verify against GEC.
-		if eqBytes(s.gecOf(cw), corr) {
+		if bytes.Equal(s.gecOf(cw), corr) {
 			return s.Data(cw), &CorrectReport{CorrectedChips: []int{s.dataChips}}, nil
 		}
 		return nil, nil, ErrUncorrectable
@@ -249,7 +252,7 @@ func (s *LOTECC) trialCorrect(cw *Codeword, corr []byte, led []byte) ([]byte, *C
 	var winnerShard []byte
 	for c := 0; c < s.dataChips; c++ {
 		fixed := s.eraseShard(cw, corr, c)
-		if eqBytes(fixed, cw.Shards[c]) {
+		if bytes.Equal(fixed, cw.Shards[c]) {
 			continue // no change: not a repair
 		}
 		if s.ledMatches(led, fixed, c) {
@@ -266,16 +269,4 @@ func (s *LOTECC) trialCorrect(cw *Codeword, corr []byte, led []byte) ([]byte, *C
 	out := s.Data(cw)
 	copy(out[winner*s.shardSize:], winnerShard)
 	return out, &CorrectReport{CorrectedChips: []int{winner}, UsedErasure: true}, nil
-}
-
-func eqBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

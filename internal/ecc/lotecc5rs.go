@@ -1,6 +1,10 @@
 package ecc
 
-import "eccparity/internal/gf"
+import (
+	"bytes"
+
+	"eccparity/internal/gf"
+)
 
 // LOTECC5RS is the §VI-D modification of LOT-ECC5: the inter-device ECC is
 // a Reed–Solomon code instead of a plain parity, restoring detection of
@@ -236,7 +240,7 @@ func (s *LOTECC5RS) trialErase(cw *Codeword, second, sums []byte) ([]byte, *Corr
 			continue
 		}
 		shard := out[c*l5rShard : (c+1)*l5rShard]
-		if eqBytes(shard, cw.Shards[c]) {
+		if bytes.Equal(shard, cw.Shards[c]) {
 			continue
 		}
 		if checksumMatches(shard, [2]byte{sums[2*c], sums[2*c+1]}) {

@@ -1,5 +1,7 @@
 package ecc
 
+import "bytes"
+
 // MultiECC models Multi-ECC (Jian et al., SC'13): 64B lines across 9 x8
 // chips. Tier 1 is a per-line checksum in the ninth chip, verified on every
 // read (detecting but not localizing). Tier 2 is a pair of RS(10,8) check
@@ -96,7 +98,7 @@ func (s *MultiECC) Detect(cw *Codeword) DetectResult {
 	if len(cw.Shards) != meDataChips+1 {
 		panic(ErrBadShards)
 	}
-	if !eqBytes(lineChecksum(s.Data(cw)), cw.Shards[meDataChips]) {
+	if !bytes.Equal(lineChecksum(s.Data(cw)), cw.Shards[meDataChips]) {
 		return DetectResult{ErrorDetected: true}
 	}
 	return DetectResult{}
@@ -134,7 +136,7 @@ func (s *MultiECC) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, e
 	stored := cw.Shards[meDataChips]
 
 	// Fast path: checksum consistent and T2 syndromes clean.
-	if eqBytes(lineChecksum(raw), stored) && s.rs.consistent(raw, corr) {
+	if bytes.Equal(lineChecksum(raw), stored) && s.rs.consistent(raw, corr) {
 		return raw, &CorrectReport{}, nil
 	}
 	// If the T2 code validates the raw data, the detection checksum itself
@@ -150,10 +152,10 @@ func (s *MultiECC) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, e
 		if err != nil {
 			continue
 		}
-		if eqBytes(cand, raw) {
+		if bytes.Equal(cand, raw) {
 			continue
 		}
-		if eqBytes(lineChecksum(cand), stored) {
+		if bytes.Equal(lineChecksum(cand), stored) {
 			if winner >= 0 {
 				return nil, nil, ErrUncorrectable
 			}

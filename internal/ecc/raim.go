@@ -1,6 +1,10 @@
 package ecc
 
-import "eccparity/internal/gf"
+import (
+	"bytes"
+
+	"eccparity/internal/gf"
+)
 
 // RAIM models the IBM zEnterprise redundant array of independent memory:
 // DIMM-kill correct. Each 128B line is striped across five DIMMs of nine x4
@@ -128,7 +132,7 @@ func (s *RAIM) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, error
 	det := s.Detect(cw)
 	switch len(det.SuspectChips) {
 	case 0:
-		if eqBytes(s.xorShards(cw), corr) {
+		if bytes.Equal(s.xorShards(cw), corr) {
 			return s.Data(cw), &CorrectReport{}, nil
 		}
 		// Parity inconsistent but all checksums pass: either the stored
@@ -138,7 +142,7 @@ func (s *RAIM) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, error
 		for d := 0; d < raimDIMMs; d++ {
 			fixedData := s.eraseDIMM(cw, corr, d)
 			fixed := dimmShard(fixedData)
-			if !eqBytes(fixed, cw.Shards[d]) && dimmShardOK(fixed) {
+			if !bytes.Equal(fixed, cw.Shards[d]) && dimmShardOK(fixed) {
 				out := s.Data(cw)
 				copy(out[d*raimDataShard:], fixedData)
 				return out, &CorrectReport{CorrectedChips: []int{d}, UsedErasure: true}, nil
@@ -379,7 +383,7 @@ func (s *RAIMParity) syndromes(cw *Codeword, pStored, qStored []byte) (dp, dq []
 // verify recomputes P/Q over a candidate line and compares with stored.
 func (s *RAIMParity) verify(line, pStored, qStored []byte) bool {
 	recomputed := s.CorrectionBits(line)
-	return eqBytes(recomputed[:rpShard], pStored) && eqBytes(recomputed[rpShard:], qStored)
+	return bytes.Equal(recomputed[:rpShard], pStored) && bytes.Equal(recomputed[rpShard:], qStored)
 }
 
 // locateGroup finds g with dq = α^g·dp bytewise, requiring at least one

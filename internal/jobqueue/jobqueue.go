@@ -62,12 +62,12 @@ func (s Status) Terminal() bool {
 type Task func(ctx context.Context) (any, error)
 
 // SubmitOptions tags a submission with its scheduling identity. The zero
-// value reproduces plain Submit: ungrouped, anonymous, interactive, no
+// value is an ungrouped job on the anonymous interactive lane with no
 // deadline.
 type SubmitOptions struct {
 	// Group names the cancellation/notification group (the daemon uses one
-	// group per sweep; CancelGroup and ChangedGroup address it). "" means
-	// ungrouped.
+	// group per sweep, submitted as ClassSweep; CancelGroup and
+	// ChangedGroup address it). "" means ungrouped.
 	Group string
 	// Submitter is the fairness identity: each (Submitter, Group) pair gets
 	// its own FIFO lane, so distinct submitters interleave instead of
@@ -82,8 +82,11 @@ type SubmitOptions struct {
 	Origin string
 	// Class is the priority class (default ClassInteractive).
 	Class Class
-	// Timeout is the per-job execution deadline counted from job start
-	// (0 = none); see SubmitTimeout.
+	// Timeout is the per-job execution deadline, counted from the moment a
+	// worker starts the job, so queue wait doesn't burn the budget (0 =
+	// none). An expired deadline cancels the task's context; the job ends
+	// StatusFailed with context.DeadlineExceeded, distinct from an explicit
+	// Cancel's StatusCanceled.
 	Timeout time.Duration
 }
 
@@ -239,34 +242,6 @@ func (q *Queue) sweepRemaining() {
 	}
 }
 
-// Submit enqueues a task on the anonymous interactive lane and returns its
-// job id. It never blocks: a full buffer returns ErrFull, a closed queue
-// ErrClosed.
-func (q *Queue) Submit(task Task) (string, error) {
-	return q.SubmitWith(task, SubmitOptions{})
-}
-
-// SubmitTimeout is Submit with a per-job deadline, counted from the moment
-// a worker starts the job (queue wait doesn't burn the budget). When the
-// deadline expires, the task's context is canceled; the job finishes
-// StatusFailed with context.DeadlineExceeded, distinct from an explicit
-// Cancel's StatusCanceled. A timeout of 0 means no deadline.
-func (q *Queue) SubmitTimeout(task Task, timeout time.Duration) (string, error) {
-	return q.SubmitWith(task, SubmitOptions{Timeout: timeout})
-}
-
-// SubmitGroup is SubmitTimeout for a job tagged with a group name: every
-// non-terminal job of a group can be canceled in one call with CancelGroup
-// (the daemon uses one group per sweep, which is why a grouped submission
-// defaults to ClassSweep). An empty group means ungrouped and interactive.
-func (q *Queue) SubmitGroup(group string, task Task, timeout time.Duration) (string, error) {
-	class := ClassInteractive
-	if group != "" {
-		class = ClassSweep
-	}
-	return q.SubmitWith(task, SubmitOptions{Group: group, Class: class, Timeout: timeout})
-}
-
 // SubmitWith enqueues a task under explicit scheduling options. It never
 // blocks: a full buffer returns ErrFull, a closed queue ErrClosed.
 func (q *Queue) SubmitWith(task Task, o SubmitOptions) (string, error) {
@@ -325,7 +300,7 @@ func (q *Queue) run(j *job) {
 	q.inflight++
 	q.bumpLocked(j)
 	if j.timeout > 0 {
-		// The deadline clock starts here, not at Submit, so a job that sat
+		// The deadline clock starts here, not at submission, so a job that sat
 		// in the buffer still gets its full budget. Replacing j.ctx under mu
 		// keeps Cancel's j.cancel() effective: it cancels the parent.
 		var cancelTimeout context.CancelFunc

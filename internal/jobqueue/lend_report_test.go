@@ -33,9 +33,9 @@ func TestLendSharedMatrixBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	probe, err := q.Submit(func(ctx context.Context) (any, error) {
+	probe, err := q.SubmitWith(func(ctx context.Context) (any, error) {
 		return x.Run(ctx, "fig10", p)
-	})
+	}, jobqueue.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestLendMonteCarloCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	probe, err := q.Submit(func(context.Context) (any, error) { return "probe", nil })
+	probe, err := q.SubmitWith(func(context.Context) (any, error) { return "probe", nil }, jobqueue.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

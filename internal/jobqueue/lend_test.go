@@ -93,11 +93,11 @@ func TestLendRunsInteractiveAtTaskBoundary(t *testing.T) {
 	}
 	await(t, parked, "the lender to park in its first task")
 	var lenderStatus Status
-	lent, err := q.Submit(func(context.Context) (any, error) {
+	lent, err := q.SubmitWith(func(context.Context) (any, error) {
 		s, _ := q.Get(sweep)
 		lenderStatus = s.Status
 		return "probe", nil
-	})
+	}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestLendRunsInteractiveAtTaskBoundary(t *testing.T) {
 
 	// A normally dispatched interactive job lands in the same histogram
 	// the same way.
-	normal, err := q.Submit(func(context.Context) (any, error) { return "probe", nil })
+	normal, err := q.SubmitWith(func(context.Context) (any, error) { return "probe", nil }, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,17 +152,17 @@ func TestLendNotFromInteractive(t *testing.T) {
 	q := New(8, 1)
 	defer drain(q)
 	parked, release := make(chan struct{}), make(chan struct{})
-	first, err := q.Submit(sharedJob(2, 1, func(ctx context.Context, i int) {
+	first, err := q.SubmitWith(sharedJob(2, 1, func(ctx context.Context, i int) {
 		if i == 0 {
 			close(parked)
 			hold(ctx, release)
 		}
-	}))
+	}), SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	await(t, parked, "the lender to park in its first task")
-	second, err := q.Submit(func(context.Context) (any, error) { return nil, nil })
+	second, err := q.SubmitWith(func(context.Context) (any, error) { return nil, nil }, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,15 +201,15 @@ func TestLendOneAtATime(t *testing.T) {
 	await(t, parked[0], "task 0 to park")
 	await(t, parked[1], "task 1 to park")
 	lentRunning, releaseLent := make(chan struct{}), make(chan struct{})
-	first, err := q.Submit(func(ctx context.Context) (any, error) {
+	first, err := q.SubmitWith(func(ctx context.Context) (any, error) {
 		close(lentRunning)
 		hold(ctx, releaseLent)
 		return nil, nil
-	})
+	}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := q.Submit(func(context.Context) (any, error) { return nil, nil })
+	second, err := q.SubmitWith(func(context.Context) (any, error) { return nil, nil }, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestLendingJobSurvivesInteractiveFlood(t *testing.T) {
 	var flood Task
 	flood = func(context.Context) (any, error) {
 		if !stopped.Load() {
-			q.Submit(flood) // ErrClosed once the test drains
+			q.SubmitWith(flood, SubmitOptions{}) // ErrClosed once the test drains
 		}
 		return nil, nil
 	}
@@ -267,7 +267,7 @@ func TestLendingJobSurvivesInteractiveFlood(t *testing.T) {
 	}
 	await(t, parked, "the lender to park in its first task")
 	for i := 0; i < backlog; i++ {
-		if _, err := q.Submit(flood); err != nil {
+		if _, err := q.SubmitWith(flood, SubmitOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,11 +310,11 @@ func TestLendCancelLenderMidLend(t *testing.T) {
 	}
 	await(t, parked, "the lender to park in its first task")
 	lentRunning, releaseLent := make(chan struct{}), make(chan struct{})
-	lent, err := q.Submit(func(ctx context.Context) (any, error) {
+	lent, err := q.SubmitWith(func(ctx context.Context) (any, error) {
 		close(lentRunning)
 		hold(ctx, releaseLent)
 		return "probe", ctx.Err()
-	})
+	}, SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

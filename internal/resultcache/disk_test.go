@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"eccparity/internal/blob"
 )
 
 // TestCorruptDiskEntryRecomputes is the satellite regression: a cached file
@@ -18,7 +20,7 @@ func TestCorruptDiskEntryRecomputes(t *testing.T) {
 	key, _ := Key(map[string]int{"seed": 7})
 	orig := []byte(`{"experiment":"fig8","text":"rows"}`)
 
-	c1, err := New(dir, 0)
+	c1, err := New(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +28,8 @@ func TestCorruptDiskEntryRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Flip one payload bit on disk, past the "eccrc1 <hex>\n" frame header.
-	path := filepath.Join(dir, key+".json")
+	// Flip one payload bit on disk, past the "eccbl1 <hex>\n" frame header.
+	path := blobPath(dir, key)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +40,7 @@ func TestCorruptDiskEntryRecomputes(t *testing.T) {
 	}
 
 	// A fresh instance (no memory copy) must recompute, not serve rot.
-	c2, err := New(dir, 0)
+	c2, err := New(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestCorruptDiskEntryRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("recomputed entry not re-persisted: %v", err)
 	}
-	if payload, ok := decodeFrame(b2); !ok || !bytes.Equal(payload, orig) {
+	if payload, ok := blob.DecodeFrame(b2); !ok || !bytes.Equal(payload, orig) {
 		t.Fatalf("re-persisted frame invalid: ok=%v payload=%q", ok, payload)
 	}
 }
@@ -71,15 +73,15 @@ func TestCorruptDiskEntryRecomputes(t *testing.T) {
 func TestTruncatedDiskEntryRecomputes(t *testing.T) {
 	dir := t.TempDir()
 	key, _ := Key(map[string]int{"seed": 8})
-	c1, _ := New(dir, 0)
+	c1, _ := New(dir, 0, nil)
 	orig := []byte("0123456789abcdef0123456789abcdef")
 	c1.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) { return orig, nil })
 
-	path := filepath.Join(dir, key+".json")
+	path := blobPath(dir, key)
 	b, _ := os.ReadFile(path)
 	os.WriteFile(path, b[:len(b)-10], 0o644)
 
-	c2, _ := New(dir, 0)
+	c2, _ := New(dir, 0, nil)
 	if _, ok := c2.Peek(key); ok {
 		t.Fatal("Peek served a truncated entry")
 	}
@@ -96,10 +98,10 @@ func TestTruncatedDiskEntryRecomputes(t *testing.T) {
 func TestDiskEvictionLRU(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("x"), 100)
-	frameSize := int64(len(encodeFrame(payload)))
+	frameSize := int64(len(blob.EncodeFrame(payload)))
 
 	// Budget for exactly three entries.
-	c, err := New(dir, 3*frameSize)
+	c, err := New(dir, 3*frameSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +117,7 @@ func TestDiskEvictionLRU(t *testing.T) {
 	// Touch keys[0] and keys[2] via a fresh instance so recency comes from
 	// disk reads (startup mtime order can tie), then insert a fourth entry:
 	// keys[1] is now unambiguously the LRU and must go.
-	c2, err := New(dir, 3*frameSize)
+	c2, err := New(dir, 3*frameSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,11 +130,11 @@ func TestDiskEvictionLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := os.Stat(filepath.Join(dir, keys[1]+".json")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(blobPath(dir, keys[1])); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("LRU entry %s survived eviction: %v", keys[1][:8], err)
 	}
 	for _, k := range []string{keys[0], keys[2], keys[3]} {
-		if _, err := os.Stat(filepath.Join(dir, k+".json")); err != nil {
+		if _, err := os.Stat(blobPath(dir, k)); err != nil {
 			t.Errorf("entry %s evicted out of order: %v", k[:8], err)
 		}
 	}
@@ -147,14 +149,14 @@ func TestDiskEvictionLRU(t *testing.T) {
 func TestStartupTrimsOversizedCorpus(t *testing.T) {
 	dir := t.TempDir()
 	payload := bytes.Repeat([]byte("y"), 50)
-	frameSize := int64(len(encodeFrame(payload)))
-	c1, _ := New(dir, 0)
+	frameSize := int64(len(blob.EncodeFrame(payload)))
+	c1, _ := New(dir, 0, nil)
 	for i := 0; i < 5; i++ {
 		k, _ := Key(map[string]int{"i": i})
 		c1.GetOrCompute(context.Background(), k, func(context.Context) ([]byte, error) { return payload, nil })
 	}
 
-	c2, err := New(dir, 2*frameSize)
+	c2, err := New(dir, 2*frameSize, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +170,7 @@ func TestStartupTrimsOversizedCorpus(t *testing.T) {
 // so the next caller recomputes cleanly.
 func TestCanceledComputeCachesNothing(t *testing.T) {
 	dir := t.TempDir()
-	c, _ := New(dir, 0)
+	c, _ := New(dir, 0, nil)
 	key, _ := Key(map[string]int{"seed": 9})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -182,7 +184,7 @@ func TestCanceledComputeCachesNothing(t *testing.T) {
 	if _, ok := c.Peek(key); ok {
 		t.Fatal("canceled run left a memory entry")
 	}
-	if _, err := os.Stat(filepath.Join(dir, key+".json")); !errors.Is(err, os.ErrNotExist) {
+	if _, err := os.Stat(blobPath(dir, key)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("canceled run left a disk file: %v", err)
 	}
 
@@ -198,7 +200,7 @@ func TestCanceledComputeCachesNothing(t *testing.T) {
 // gets ctx.Err() immediately, while the leader's computation completes and
 // caches for everyone else.
 func TestWaiterCancelLeavesFlightRunning(t *testing.T) {
-	c, _ := New("", 0)
+	c, _ := New("", 0, nil)
 	gate := make(chan struct{})
 	leaderDone := make(chan struct{})
 	go func() {
@@ -233,16 +235,14 @@ func TestWaiterCancelLeavesFlightRunning(t *testing.T) {
 	}
 }
 
-// TestOldFormatEntriesRecompute: pre-frame (raw payload) files from before
-// the checksum format fail the frame check and recompute rather than being
-// served with unverifiable integrity.
+// TestOldFormatEntriesRecompute: an unframed (raw payload) file under the
+// key's path fails the frame check and recomputes rather than being served
+// with unverifiable integrity.
 func TestOldFormatEntriesRecompute(t *testing.T) {
 	dir := t.TempDir()
 	key, _ := Key(map[string]int{"legacy": 1})
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte(`{"old":"format"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := New(dir, 0)
+	plant(t, dir, key, []byte(`{"old":"format"}`))
+	c, _ := New(dir, 0, nil)
 	want := []byte(`{"new":"format"}`)
 	v, hit, err := c.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) { return want, nil })
 	if err != nil || hit || !bytes.Equal(v, want) {
@@ -250,17 +250,20 @@ func TestOldFormatEntriesRecompute(t *testing.T) {
 	}
 }
 
-func TestFrameRoundTrip(t *testing.T) {
-	for _, payload := range [][]byte{{}, []byte("a"), bytes.Repeat([]byte{0}, 1000)} {
-		got, ok := decodeFrame(encodeFrame(payload))
-		if !ok || !bytes.Equal(got, payload) {
-			t.Fatalf("round trip failed for %d-byte payload", len(payload))
-		}
+// TestNewSweepsTmpOrphans: a crash between writing an entry's tmp file and
+// renaming it into place leaves "<key>.tmp*" behind; opening the cache on
+// that directory removes it.
+func TestNewSweepsTmpOrphans(t *testing.T) {
+	dir := t.TempDir()
+	key, _ := Key(map[string]int{"orphan": 1})
+	orphan := filepath.Join(dir, key+".tmp123")
+	if err := os.WriteFile(orphan, []byte("half a frame"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := decodeFrame([]byte("garbage")); ok {
-		t.Error("decodeFrame accepted garbage")
+	if _, err := New(dir, 0, nil); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := decodeFrame(nil); ok {
-		t.Error("decodeFrame accepted nil")
+	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("tmp orphan survived New: %v", err)
 	}
 }

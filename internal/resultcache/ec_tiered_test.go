@@ -38,7 +38,7 @@ func reopenEC(t *testing.T, dirs []string) *ec.Backend {
 // tier and flushes the write-behind publish, seeding all k+m shards.
 func publishEC(t *testing.T, shared blob.Backend, key string, val []byte) {
 	t.Helper()
-	c, err := New(t.TempDir(), 0, WithShared(shared))
+	c, err := New(t.TempDir(), 0, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestECSharedDegradedReadIsHitWithRepair(t *testing.T) {
 		}
 	}
 
-	c, err := New(t.TempDir(), 0, WithShared(reopenEC(t, dirs)))
+	c, err := New(t.TempDir(), 0, reopenEC(t, dirs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestECSharedBeyondBudgetRecomputesAndRepairs(t *testing.T) {
 		}
 	}
 
-	c, err := New(t.TempDir(), 0, WithShared(reopenEC(t, dirs)))
+	c, err := New(t.TempDir(), 0, reopenEC(t, dirs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestECSharedBeyondBudgetRecomputesAndRepairs(t *testing.T) {
 	// The recompute's publish rebuilds the full stripe; a fresh replica
 	// with an empty local cache serves it without computing.
 	c.FlushShared()
-	fresh, err := New(t.TempDir(), 0, WithShared(reopenEC(t, dirs)))
+	fresh, err := New(t.TempDir(), 0, reopenEC(t, dirs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestECSharedTransportErrorsDegrade(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, err := New(t.TempDir(), 0, WithShared(degraded))
+	c, err := New(t.TempDir(), 0, degraded)
 	if err != nil {
 		t.Fatal(err)
 	}

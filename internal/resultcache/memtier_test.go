@@ -39,7 +39,7 @@ func fill(t *testing.T, c *Cache, from, to int) {
 // entries; a memory-only cache then misses an evicted key, and
 // recomputing it gives the same bytes.
 func TestMemoryTierBounded(t *testing.T) {
-	c, err := New("", 0)
+	c, err := New("", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMemoryTierBounded(t *testing.T) {
 // eviction takes the least recently used entry instead — and a fresh entry
 // nobody has read yet outlives entries last read before it was added.
 func TestMemoryTierKeepsRecentlyRead(t *testing.T) {
-	c, err := New("", 0)
+	c, err := New("", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestMemoryTierKeepsRecentlyRead(t *testing.T) {
 // TestMemoryTierEvictedServedFromDisk: an entry evicted from memory is
 // still a hit from the disk tier, without recomputing.
 func TestMemoryTierEvictedServedFromDisk(t *testing.T) {
-	c, err := New(t.TempDir(), 0)
+	c, err := New(t.TempDir(), 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMemoryTierEvictedServedFromDisk(t *testing.T) {
 // TestMemoryTierSingleflight: with the memory tier full, concurrent
 // identical requests still share one computation.
 func TestMemoryTierSingleflight(t *testing.T) {
-	c, err := New("", 0)
+	c, err := New("", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,26 +7,23 @@
 // execution (singleflight).
 //
 // Layout: a bounded in-memory tier — least-recently-used entries beyond
-// memBudget (8 MiB of payload) are dropped — in front of an optional
-// on-disk directory of <hash>.json files written atomically, so a daemon
-// restart keeps its corpus. An entry dropped from memory is still served
-// from disk or the shared tier when they hold it; a memory-only cache
-// forgets it, and recomputing it gives the same bytes. Each disk entry is
-// framed with a payload checksum ("eccrc1 <sha256hex>\n<payload>") so a
-// truncated or bit-flipped file is detected on read, deleted, and treated
-// as a miss — the result is recomputed, never served corrupted. The disk
-// layer is bounded: when a byte budget is set, least-recently-used entries
-// are evicted to stay under it.
+// memBudget (8 MiB of payload) are dropped — in front of at most two
+// blob.Backends: an optional local one (a blob.FS on the daemon's cache
+// directory, so a restart keeps its corpus) and an optional shared one
+// (the fleet-wide store of a multi-node deployment). A read walks memory,
+// then local, then shared; a hit in a later tier fills the earlier ones. A
+// computed result is written to the local tier synchronously and published
+// to the shared tier write-behind, so the compute path never blocks on a
+// network mount. An entry dropped from memory is still served from a blob
+// tier when one holds it; a memory-only cache forgets it, and recomputing
+// it gives the same bytes.
 //
-// Behind the local tiers an optional shared tier (internal/blob) turns the
-// cache into the fleet-wide store of a multi-node deployment: reads fall
-// through memory → local disk → shared blob, a shared hit is pulled into
-// the local tiers (read-through fill), and a freshly computed result is
-// published to the shared tier asynchronously (write-behind, so the compute
-// path never blocks on a network mount). The shared tier inherits the same
-// safety rules as the disk tier: blobs are checksummed frames, a corrupt
-// frame is deleted and recomputed locally — never served and never left to
-// poison other replicas — and singleflight still collapses concurrent
+// Both blob tiers store checksummed frames (see blob.EncodeFrame): a
+// truncated or bit-flipped entry is detected on read, deleted by the
+// backend, and treated as a miss — the result is recomputed, never served
+// corrupted, and a shared-tier corpse never poisons other replicas. The
+// local tier is bounded: when a byte budget is set, least-recently-used
+// entries are evicted to stay under it. Singleflight collapses concurrent
 // identical requests on this replica whichever tier ends up serving them.
 package resultcache
 
@@ -38,11 +35,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"regexp"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -63,33 +56,25 @@ func Key(config any) (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// validKey guards the on-disk path: keys are exactly 64 hex chars.
-var validKey = regexp.MustCompile(`^[0-9a-f]{64}$`)
-
 // memBudget bounds the payload bytes of the memory tier: about eight
 // hundred ~10 KB figure documents, so a full sweep at the daemon's default
 // 256-point cap (about 3 MB) always fits. Peak RSS runs at about twice the
 // live heap, so every resident MiB costs about two.
 const memBudget = 8 << 20
 
-// diskMagic opens every disk entry, followed by the hex SHA-256 of the
-// payload and a newline. Bumping the version string invalidates the corpus
-// wholesale (old entries fail the frame check and recompute).
-const diskMagic = "eccrc1 "
-
 // Stats is a snapshot of the cache's counters.
 type Stats struct {
-	// Hits: served from memory or disk without computing.
+	// Hits: served from memory or a blob tier without computing.
 	Hits uint64
 	// Misses: the value had to be computed.
 	Misses uint64
 	// Coalesced: callers that waited on another caller's in-flight
 	// computation of the same key instead of recomputing (singleflight).
 	Coalesced uint64
-	// Evicted: disk entries removed to stay under the byte budget.
+	// Evicted: local-tier entries removed to stay under the byte budget.
 	Evicted uint64
-	// Corrupt: disk entries that failed their checksum frame and were
-	// deleted (each one recomputes as a miss).
+	// Corrupt: local-tier entries that failed their checksum frame; the
+	// backend deleted them (each one recomputes as a miss).
 	Corrupt uint64
 	// SharedHits: lookups served by the shared blob tier (each one also
 	// counts in Hits and fills the local tiers).
@@ -115,7 +100,8 @@ type Stats struct {
 	// payload bytes (at most memBudget).
 	Entries  int
 	MemBytes int64
-	// DiskEntries / DiskBytes describe the on-disk layer (0 when disabled).
+	// DiskEntries / DiskBytes describe the local tier: entries and their
+	// framed bytes (0 when disabled).
 	DiskEntries int
 	DiskBytes   int64
 }
@@ -128,7 +114,8 @@ type flight struct {
 	err  error
 }
 
-// diskEntry is one LRU index record; list front = most recently used.
+// diskEntry is one local-tier LRU index record; list front = most
+// recently used.
 type diskEntry struct {
 	key  string
 	size int64
@@ -144,14 +131,14 @@ type memEntry struct {
 
 // Cache is safe for concurrent use.
 type Cache struct {
-	dir      string // "" = memory only
-	maxBytes int64  // 0 = unbounded disk
+	// local is the optional budgeted blob tier on the cache directory and
+	// shared the optional fleet-wide one behind it; nil disables a tier.
+	local, shared blob.Backend
+	maxBytes      int64 // local-tier byte budget; 0 = unbounded
 
-	// shared is the optional fleet-wide tier behind the local ones; nil
-	// keeps the cache purely local. pubWG tracks in-flight write-behind
-	// publishes; pubSem bounds how many run at once so a slow mount cannot
-	// pile up goroutines.
-	shared blob.Backend
+	// pubWG tracks in-flight write-behind publishes to the shared tier;
+	// pubSem bounds how many run at once so a slow mount cannot pile up
+	// goroutines.
 	pubWG  sync.WaitGroup
 	pubSem chan struct{}
 
@@ -164,8 +151,9 @@ type Cache struct {
 	memLRU   *list.List
 	memBytes int64
 
-	// Disk LRU index, guarded by mu: index maps key → element whose Value
-	// is *diskEntry; bytes is the framed size sum of everything indexed.
+	// Local-tier LRU index, guarded by mu: index maps key → element whose
+	// Value is *diskEntry; bytes is the framed size sum of everything
+	// indexed.
 	lru   *list.List
 	index map[string]*list.Element
 	bytes int64
@@ -174,87 +162,50 @@ type Cache struct {
 	sharedHits, sharedPub, sharedCorrupt, sharedErrors atomic.Uint64
 }
 
-// Option configures optional cache behavior at construction.
-type Option func(*Cache)
-
-// WithShared attaches a shared blob backend as the tier behind the local
-// memory and disk layers: reads fall through to it, shared hits fill the
-// local tiers, and computed results are published to it write-behind. A nil
-// backend is ignored (single-node behavior unchanged).
-func WithShared(b blob.Backend) Option {
-	return func(c *Cache) {
-		if b != nil {
-			c.shared = b
-		}
-	}
-}
-
-// New creates a cache. A nonempty dir enables the on-disk layer (created if
-// missing); dir == "" keeps results in memory only. maxDiskBytes bounds the
-// on-disk layer: when a write would push the directory past the budget,
-// least-recently-used entries are evicted first (0 = unbounded). The
-// existing corpus is indexed at startup, oldest-first by mtime, and trimmed
-// to the budget immediately.
-func New(dir string, maxDiskBytes int64, opts ...Option) (*Cache, error) {
+// New creates a cache. A nonempty dir opens a blob.FS there (created if
+// missing) as the local tier; dir == "" keeps results in memory only.
+// maxDiskBytes bounds the local tier: when a write would push it past the
+// budget, least-recently-used entries are evicted first (0 = unbounded).
+// The existing corpus is indexed at startup, oldest-first by mtime, and
+// trimmed to the budget immediately. shared, when non-nil, is the tier
+// behind the local ones: reads fall through to it, its hits fill the local
+// tiers, and computed results are published to it write-behind.
+func New(dir string, maxDiskBytes int64, shared blob.Backend) (*Cache, error) {
 	c := &Cache{
-		dir: dir, maxBytes: maxDiskBytes,
+		shared: shared, maxBytes: maxDiskBytes,
 		mem: map[string]*memEntry{}, memLRU: list.New(), inflight: map[string]*flight{},
 		lru: list.New(), index: map[string]*list.Element{},
 		pubSem: make(chan struct{}, 4),
 	}
-	for _, o := range opts {
-		o(c)
+	if dir == "" {
+		return c, nil
 	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("resultcache: %w", err)
-		}
-		if err := c.loadIndex(); err != nil {
-			return nil, err
-		}
-		c.mu.Lock()
-		c.evictLocked()
-		c.mu.Unlock()
+	local, err := blob.NewFS(dir)
+	if err != nil {
+		return nil, fmt.Errorf("resultcache: %w", err)
 	}
+	entries, err := local.Entries(context.Background())
+	if err != nil {
+		return nil, fmt.Errorf("resultcache: %w", err)
+	}
+	// Oldest first: each PushFront leaves the newest at the front, so a
+	// restarted daemon evicts its stalest results first.
+	sort.Slice(entries, func(i, j int) bool { return entries[i].ModTime.Before(entries[j].ModTime) })
+	for _, e := range entries {
+		c.index[e.Key] = c.lru.PushFront(&diskEntry{key: e.Key, size: e.Size})
+		c.bytes += e.Size
+	}
+	c.local = local
+	c.mu.Lock()
+	c.evictLocked()
+	c.mu.Unlock()
 	return c, nil
 }
 
-// loadIndex scans dir for well-formed entry names and rebuilds the LRU in
-// mtime order, so a restarted daemon evicts its stalest results first.
-func (c *Cache) loadIndex() error {
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return fmt.Errorf("resultcache: %w", err)
-	}
-	type rec struct {
-		key   string
-		size  int64
-		mtime int64
-	}
-	recs := []rec{}
-	for _, e := range entries {
-		key, ok := strings.CutSuffix(e.Name(), ".json")
-		if !ok || !validKey.MatchString(key) || e.IsDir() {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		recs = append(recs, rec{key: key, size: info.Size(), mtime: info.ModTime().UnixNano()})
-	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].mtime < recs[j].mtime })
-	for _, r := range recs {
-		// Oldest first: each PushFront leaves the newest at the front.
-		c.index[r.key] = c.lru.PushFront(&diskEntry{key: r.key, size: r.size})
-		c.bytes += r.size
-	}
-	return nil
-}
-
-// Get returns the cached bytes for key, consulting memory then disk, and
-// counts a hit when found. Missing keys are not counted as misses (only a
-// computation is): use GetOrCompute for the read-through path.
+// Get returns the cached bytes for key, consulting memory then the blob
+// tiers, and counts a hit when found. Missing keys are not counted as
+// misses (only a computation is): use GetOrCompute for the read-through
+// path.
 func (c *Cache) Get(key string) ([]byte, bool) {
 	if v, ok := c.lookup(key); ok {
 		c.hits.Add(1)
@@ -276,16 +227,10 @@ func (c *Cache) lookup(key string) ([]byte, bool) {
 		return clone(v), true
 	}
 	c.mu.Unlock()
-	b, ok := c.readDisk(key)
-	if !ok {
-		b, ok = c.readShared(key)
-	}
+	b, ok := c.readTiers(key)
 	if !ok {
 		return nil, false
 	}
-	c.mu.Lock()
-	c.memPutLocked(key, b)
-	c.mu.Unlock()
 	return clone(b), true
 }
 
@@ -329,8 +274,8 @@ func (c *Cache) memPutLocked(key string, v []byte) {
 // whether this caller's bytes were served without running compute itself.
 //
 // ctx cancels this caller's wait and is the context compute runs under; a
-// canceled computation settles with its error, caches nothing (memory or
-// disk), and leaves the key open for the next caller to recompute.
+// canceled computation settles with its error, caches nothing in any tier,
+// and leaves the key open for the next caller to recompute.
 func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) (val []byte, hit bool, err error) {
 	return c.getOrCompute(ctx, key, compute, true)
 }
@@ -375,16 +320,9 @@ func (c *Cache) getOrCompute(ctx context.Context, key string, compute func(ctx c
 	c.inflight[key] = f
 	c.mu.Unlock()
 
-	// Disk check outside the lock: a restart's corpus counts as a hit. The
-	// shared tier is consulted after local disk (read-through): a result
-	// another replica computed is a hit here too, and the fill below makes
-	// the next lookup purely local.
-	if b, ok := c.readDisk(key); ok {
-		c.settle(key, f, b, nil)
-		c.hits.Add(1)
-		return clone(b), true, nil
-	}
-	if b, ok := c.readShared(key); ok {
+	// Blob tiers outside the lock: a restart's corpus, or a result another
+	// replica published, counts as a hit.
+	if b, ok := c.readTiers(key); ok {
 		c.settle(key, f, b, nil)
 		c.hits.Add(1)
 		return clone(b), true, nil
@@ -393,8 +331,7 @@ func (c *Cache) getOrCompute(ctx context.Context, key string, compute func(ctx c
 	c.misses.Add(1)
 	v, cerr := compute(ctx)
 	if cerr == nil {
-		c.persist(key, v)
-		c.publishShared(key, v)
+		c.store(key, v)
 	}
 	c.settle(key, f, v, cerr)
 	if cerr != nil {
@@ -404,88 +341,90 @@ func (c *Cache) getOrCompute(ctx context.Context, key string, compute func(ctx c
 }
 
 // computeOutsideFlight runs compute for a key another caller's flight is
-// already computing, and stores the bytes as settle would.
+// already computing, and stores the bytes as the flight would.
 func (c *Cache) computeOutsideFlight(ctx context.Context, key string, compute func(ctx context.Context) ([]byte, error)) ([]byte, bool, error) {
 	c.misses.Add(1)
 	v, err := compute(ctx)
 	if err != nil {
 		return nil, false, err
 	}
-	c.persist(key, v)
-	c.publishShared(key, v)
-	c.mu.Lock()
-	c.memPutLocked(key, clone(v))
-	c.mu.Unlock()
+	c.store(key, v)
 	return clone(v), false, nil
 }
 
-// settle publishes a flight's outcome: successful values land in memory,
-// waiters are released, and the key is open for retry on error.
+// settle publishes a flight's outcome: waiters are released and the key is
+// open again (for retry on error). A successful value is already in memory.
 func (c *Cache) settle(key string, f *flight, v []byte, err error) {
 	f.val, f.err = v, err
 	c.mu.Lock()
-	if err == nil {
-		c.memPutLocked(key, clone(v))
-	}
 	delete(c.inflight, key)
 	c.mu.Unlock()
 	close(f.done)
 }
 
-// readDisk reads and verifies one disk entry. A file that fails the frame
-// check — wrong magic, bad hex, checksum mismatch from truncation or bit
-// rot — is deleted and reported as a miss so the caller recomputes. A valid
-// read touches the entry in the LRU.
-func (c *Cache) readDisk(key string) ([]byte, bool) {
-	if c.dir == "" || !validKey.MatchString(key) {
+// store lands a freshly computed value in every tier: the local one
+// synchronously, the shared one write-behind, then memory.
+func (c *Cache) store(key string, v []byte) {
+	c.putLocal(key, v)
+	c.publishShared(key, v)
+	c.mu.Lock()
+	c.memPutLocked(key, clone(v))
+	c.mu.Unlock()
+}
+
+// readTiers walks the blob tiers behind memory — local, then shared — and
+// returns the first verified payload, filling the earlier tiers with it. A
+// key that is not a content address skips them. A corrupt entry has
+// already been deleted by its backend (see blob.ErrCorrupt) and is a miss:
+// the caller recomputes, and storing that recompute repairs both tiers
+// with good bytes. Shared-tier transport errors degrade to a miss too — a
+// flaky mount slows the fleet down to per-replica recomputation, it never
+// breaks it.
+func (c *Cache) readTiers(key string) ([]byte, bool) {
+	if !blob.ValidKey(key) {
 		return nil, false
 	}
-	b, err := os.ReadFile(c.path(key))
+	b, err := c.readLocal(key)
+	if err != nil && c.shared != nil {
+		b, err = c.shared.Get(context.Background(), key)
+		switch {
+		case err == nil:
+			c.sharedHits.Add(1)
+			c.putLocal(key, b)
+		case errors.Is(err, blob.ErrCorrupt):
+			c.sharedCorrupt.Add(1)
+		case !errors.Is(err, blob.ErrNotFound):
+			c.sharedErrors.Add(1)
+		}
+	}
 	if err != nil {
 		return nil, false
 	}
-	payload, ok := decodeFrame(b)
-	if !ok {
-		c.corrupt.Add(1)
-		os.Remove(c.path(key))
-		c.mu.Lock()
-		c.dropIndexLocked(key)
-		c.mu.Unlock()
-		return nil, false
-	}
 	c.mu.Lock()
-	if el, ok := c.index[key]; ok {
-		c.lru.MoveToFront(el)
-	}
+	c.memPutLocked(key, b)
 	c.mu.Unlock()
-	return payload, true
+	return b, true
 }
 
-// readShared reads one entry from the shared blob tier and, on a hit,
-// fills the local disk tier so the next lookup stays off the shared mount.
-// A corrupt blob has already been deleted by the backend (see
-// blob.ErrCorrupt) and is a miss: the caller recomputes locally, and the
-// write-behind publish of that recompute repairs the shared tier with good
-// bytes. Transport errors degrade to a miss too — a flaky mount slows the
-// fleet down to per-replica recomputation, it never breaks it.
-func (c *Cache) readShared(key string) ([]byte, bool) {
-	if c.shared == nil || !validKey.MatchString(key) {
-		return nil, false
+// readLocal reads key from the local tier, touching its LRU record on a
+// hit and dropping it when the backend found the entry corrupt.
+func (c *Cache) readLocal(key string) ([]byte, error) {
+	if c.local == nil {
+		return nil, blob.ErrNotFound
 	}
-	b, err := c.shared.Get(context.Background(), key)
+	b, err := c.local.Get(context.Background(), key)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	switch {
 	case err == nil:
-		c.sharedHits.Add(1)
-		c.persist(key, b)
-		return b, true
+		if el, ok := c.index[key]; ok {
+			c.lru.MoveToFront(el)
+		}
 	case errors.Is(err, blob.ErrCorrupt):
-		c.sharedCorrupt.Add(1)
-	case errors.Is(err, blob.ErrNotFound):
-		// plain miss
-	default:
-		c.sharedErrors.Add(1)
+		c.corrupt.Add(1)
+		c.dropIndexLocked(key)
 	}
-	return nil, false
+	return b, err
 }
 
 // publishShared queues a write-behind publish of a freshly computed value
@@ -496,7 +435,7 @@ func (c *Cache) readShared(key string) ([]byte, bool) {
 // counted and dropped — the local tiers still serve the value, and any
 // replica that misses the shared tier recomputes deterministically.
 func (c *Cache) publishShared(key string, v []byte) {
-	if c.shared == nil || !validKey.MatchString(key) {
+	if c.shared == nil || !blob.ValidKey(key) {
 		return
 	}
 	val := clone(v)
@@ -520,42 +459,26 @@ func (c *Cache) FlushShared() {
 	c.pubWG.Wait()
 }
 
-// persist writes the framed value to disk atomically (tmp + rename) so a
-// crashed write can never surface as a truncated result, then evicts LRU
-// entries past the byte budget. Best-effort: the in-memory layer still
-// serves the value if the disk write fails.
-func (c *Cache) persist(key string, v []byte) {
-	if c.dir == "" || !validKey.MatchString(key) {
+// putLocal writes v to the local tier and charges its framed size to the
+// LRU budget, evicting least-recently-used entries past it. Best-effort:
+// the memory tier still serves the value if the write fails.
+func (c *Cache) putLocal(key string, v []byte) {
+	if c.local == nil || !blob.ValidKey(key) {
 		return
 	}
-	framed := encodeFrame(v)
-	tmp, err := os.CreateTemp(c.dir, key+".tmp*")
-	if err != nil {
+	if err := c.local.Put(context.Background(), key, v); err != nil {
 		return
 	}
-	name := tmp.Name()
-	if _, err := tmp.Write(framed); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, c.path(key)); err != nil {
-		os.Remove(name)
-		return
-	}
+	size := blob.FramedSize(len(v))
 	c.mu.Lock()
 	c.dropIndexLocked(key) // overwrite: replace any stale size
-	c.index[key] = c.lru.PushFront(&diskEntry{key: key, size: int64(len(framed))})
-	c.bytes += int64(len(framed))
+	c.index[key] = c.lru.PushFront(&diskEntry{key: key, size: size})
+	c.bytes += size
 	c.evictLocked()
 	c.mu.Unlock()
 }
 
-// evictLocked removes least-recently-used disk entries until the layer fits
+// evictLocked removes least-recently-used local entries until the tier fits
 // the byte budget (mu held). An evicted result is still served while the
 // memory tier holds it, and can always be recomputed — determinism makes
 // eviction safe.
@@ -569,7 +492,9 @@ func (c *Cache) evictLocked() {
 			return
 		}
 		e := el.Value.(*diskEntry)
-		os.Remove(c.path(e.key))
+		// Best-effort: a file that survives a failed delete is still a
+		// valid entry, and the next startup indexes it again.
+		_ = c.local.Delete(context.Background(), e.key)
 		c.dropIndexLocked(e.key)
 		c.evicted.Add(1)
 	}
@@ -582,35 +507,6 @@ func (c *Cache) dropIndexLocked(key string) {
 		c.lru.Remove(el)
 		delete(c.index, key)
 	}
-}
-
-// encodeFrame wraps a payload in the checksummed disk format.
-func encodeFrame(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, len(diskMagic)+64+1+len(payload))
-	out = append(out, diskMagic...)
-	out = append(out, hex.EncodeToString(sum[:])...)
-	out = append(out, '\n')
-	return append(out, payload...)
-}
-
-// decodeFrame verifies the frame and returns the payload, or ok=false for
-// anything malformed — wrong magic, short file, checksum mismatch.
-func decodeFrame(b []byte) ([]byte, bool) {
-	rest, ok := strings.CutPrefix(string(b), diskMagic)
-	if !ok || len(rest) < 65 || rest[64] != '\n' {
-		return nil, false
-	}
-	payload := []byte(rest[65:])
-	sum := sha256.Sum256(payload)
-	if hex.EncodeToString(sum[:]) != rest[:64] {
-		return nil, false
-	}
-	return payload, true
-}
-
-func (c *Cache) path(key string) string {
-	return filepath.Join(c.dir, key+".json")
 }
 
 // Stats returns a snapshot of the counters.

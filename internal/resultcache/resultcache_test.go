@@ -6,10 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"eccparity/internal/blob"
 )
 
 func TestKeyDeterministicAndSensitive(t *testing.T) {
@@ -30,7 +31,7 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 	if a1 == b {
 		t.Error("different seeds collapsed to one key")
 	}
-	if !validKey.MatchString(a1) {
+	if !blob.ValidKey(a1) {
 		t.Errorf("key %q is not 64 hex chars", a1)
 	}
 }
@@ -39,7 +40,7 @@ func TestKeyDeterministicAndSensitive(t *testing.T) {
 // submissions of the same key execute the underlying computation exactly
 // once, and every caller gets the same bytes.
 func TestSingleflight(t *testing.T) {
-	c, err := New("", 0)
+	c, err := New("", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +88,7 @@ func TestSingleflight(t *testing.T) {
 // TestHitReturnsOriginalBytes: a cache hit returns bytes identical to the
 // original run, and the caller cannot corrupt the cached copy.
 func TestHitReturnsOriginalBytes(t *testing.T) {
-	c, _ := New("", 0)
+	c, _ := New("", 0, nil)
 	orig := []byte(`{"experiment":"fig8","text":"=== Fig. 8 ==="}`)
 	v1, hit, err := c.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) { return orig, nil })
 	if err != nil || hit {
@@ -112,7 +113,7 @@ func TestHitReturnsOriginalBytes(t *testing.T) {
 func TestDiskPersistenceAcrossInstances(t *testing.T) {
 	dir := t.TempDir()
 	key, _ := Key(map[string]int{"seed": 1})
-	c1, err := New(dir, 0)
+	c1, err := New(dir, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,12 +121,12 @@ func TestDiskPersistenceAcrossInstances(t *testing.T) {
 	if _, _, err := c1.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) { return orig, nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, key+".json")); err != nil {
+	if _, err := os.Stat(blobPath(dir, key)); err != nil {
 		t.Fatalf("result not persisted: %v", err)
 	}
 
 	// A fresh instance (daemon restart) serves the bytes without computing.
-	c2, _ := New(dir, 0)
+	c2, _ := New(dir, 0, nil)
 	v, hit, err := c2.GetOrCompute(context.Background(), key, func(context.Context) ([]byte, error) {
 		t.Fatal("compute ran despite on-disk result")
 		return nil, nil
@@ -139,7 +140,7 @@ func TestDiskPersistenceAcrossInstances(t *testing.T) {
 }
 
 func TestComputeErrorSharedAndRetryable(t *testing.T) {
-	c, _ := New("", 0)
+	c, _ := New("", 0, nil)
 	boom := errors.New("boom")
 	calls := 0
 	if _, _, err := c.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) { calls++; return nil, boom }); !errors.Is(err, boom) {
@@ -156,7 +157,7 @@ func TestComputeErrorSharedAndRetryable(t *testing.T) {
 }
 
 func TestPeekDoesNotCountHits(t *testing.T) {
-	c, _ := New("", 0)
+	c, _ := New("", 0, nil)
 	c.GetOrCompute(context.Background(), "k", func(context.Context) ([]byte, error) { return []byte("v"), nil })
 	before := c.Stats().Hits
 	if v, ok := c.Peek("k"); !ok || string(v) != "v" {
@@ -171,7 +172,7 @@ func TestPeekDoesNotCountHits(t *testing.T) {
 }
 
 func TestConcurrentDistinctKeys(t *testing.T) {
-	c, _ := New(t.TempDir(), 0)
+	c, _ := New(t.TempDir(), 0, nil)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
@@ -199,7 +200,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 // the flight, and its bytes are stored; with no flight it behaves like
 // GetOrCompute, and later callers hit.
 func TestGetOrComputeNoWait(t *testing.T) {
-	c, err := New("", 0)
+	c, err := New("", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func noCompute(t *testing.T) func(context.Context) ([]byte, error) {
 // cross-replica read path of the cluster.
 func TestSharedTierCrossCacheHit(t *testing.T) {
 	shared, _ := newShared(t)
-	a, err := New(t.TempDir(), 0, WithShared(shared))
+	a, err := New(t.TempDir(), 0, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSharedTierCrossCacheHit(t *testing.T) {
 		t.Fatalf("SharedPublished = %d, want 1", s.SharedPublished)
 	}
 
-	b, err := New(t.TempDir(), 0, WithShared(shared))
+	b, err := New(t.TempDir(), 0, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestGetFallsThroughToShared(t *testing.T) {
 	if err := shared.Put(context.Background(), key, want); err != nil {
 		t.Fatal(err)
 	}
-	c, err := New("", 0, WithShared(shared))
+	c, err := New("", 0, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCorruptSharedBlobRecomputedAndRepaired(t *testing.T) {
 			key := mustKey(t, "corrupt-"+name)
 			plant(t, sharedDir, key, damage(key))
 
-			c, err := New(t.TempDir(), 0, WithShared(shared))
+			c, err := New(t.TempDir(), 0, shared)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,7 +177,7 @@ func TestCorruptSharedBlobRecomputedAndRepaired(t *testing.T) {
 			if !ok || !bytes.Equal(payload, want) {
 				t.Fatalf("republished frame bad: ok=%v payload=%q", ok, payload)
 			}
-			fresh, err := New(t.TempDir(), 0, WithShared(shared))
+			fresh, err := New(t.TempDir(), 0, shared)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -195,7 +195,7 @@ func TestCorruptSharedBlobGetIsMiss(t *testing.T) {
 	shared, sharedDir := newShared(t)
 	key := mustKey(t, "get-corrupt")
 	plant(t, sharedDir, key, []byte("junk"))
-	c, err := New(t.TempDir(), 0, WithShared(shared))
+	c, err := New(t.TempDir(), 0, shared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func (failingBackend) List(context.Context) ([]string, error) { return nil, erro
 // An unavailable shared tier degrades to local-only operation: computes
 // succeed, errors are counted, nothing fails.
 func TestSharedTierUnavailableDegrades(t *testing.T) {
-	c, err := New("", 0, WithShared(failingBackend{}))
+	c, err := New("", 0, failingBackend{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestSharedTierUnavailableDegrades(t *testing.T) {
 // replica produce exactly one compute even when the shared tier is enabled.
 func TestSingleflightAcrossTiers(t *testing.T) {
 	shared, _ := newShared(t)
-	c, err := New("", 0, WithShared(shared))
+	c, err := New("", 0, shared)
 	if err != nil {
 		t.Fatal(err)
 	}

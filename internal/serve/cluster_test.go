@@ -465,13 +465,13 @@ func TestClusterSubmitRunsLocallyWhenOwnerSaturated(t *testing.T) {
 	}
 	// Occupy every job worker first, so the buffer only fills after.
 	for range owner.srv.opts.JobWorkers {
-		if _, err := owner.srv.queue.Submit(held); err != nil {
+		if _, err := owner.srv.queue.SubmitWith(held, jobqueue.SubmitOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		<-started
 	}
 	for full := false; !full; {
-		_, err := owner.srv.queue.Submit(held)
+		_, err := owner.srv.queue.SubmitWith(held, jobqueue.SubmitOptions{})
 		full = errors.Is(err, jobqueue.ErrFull)
 		if err != nil && !full {
 			t.Fatal(err)

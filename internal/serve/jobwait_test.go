@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"eccparity/internal/jobqueue"
 	"eccparity/pkg/api"
 )
 
@@ -18,14 +19,14 @@ import (
 // then finishes done with result hash "held".
 func heldJob(t *testing.T, s *Server, release <-chan struct{}) string {
 	t.Helper()
-	id, err := s.queue.Submit(func(ctx context.Context) (any, error) {
+	id, err := s.queue.SubmitWith(func(ctx context.Context) (any, error) {
 		select {
 		case <-release:
 			return "held", nil
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	})
+	}, jobqueue.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestJobLongPollWindowExpires(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	started := make(chan struct{})
-	running, err := s.queue.Submit(func(ctx context.Context) (any, error) {
+	running, err := s.queue.SubmitWith(func(ctx context.Context) (any, error) {
 		close(started)
 		select {
 		case <-release:
@@ -123,7 +124,7 @@ func TestJobLongPollWindowExpires(t *testing.T) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	})
+	}, jobqueue.SubmitOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -143,11 +143,7 @@ func New(o Options) (*Server, error) {
 	if o.MaxSweepPoints <= 0 {
 		o.MaxSweepPoints = MaxSweepPointsDefault
 	}
-	var cacheOpts []resultcache.Option
-	if o.Blob != nil {
-		cacheOpts = append(cacheOpts, resultcache.WithShared(o.Blob))
-	}
-	cache, err := resultcache.New(o.CacheDir, o.CacheMaxBytes, cacheOpts...)
+	cache, err := resultcache.New(o.CacheDir, o.CacheMaxBytes, o.Blob)
 	if err != nil {
 		return nil, err
 	}
