@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"eccparity/internal/ecc"
 	"eccparity/internal/sim/report"
 )
 
@@ -126,5 +127,38 @@ func TestRunExperimentsCanceledPrintsNothing(t *testing.T) {
 	p.Progress = io.Discard
 	if err := runExperiments(ctx, "fig9", p, io.Discard); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// goldenFaultInjectHashes maps every served scheme key to the SHA-256 of
+// `eccsim -exp faultinject -scheme <key> -trials 400 -seed 7` stdout at the
+// reduced budget: a per-codec byte pin on the Monte Carlo fault campaign.
+var goldenFaultInjectHashes = map[string]string{
+	"chipkill18":     "f7d5f5bd3169c5be98cde82bab37121b2ba9a11292ff109fadc46ed09b079f71",
+	"chipkill36":     "476ee81f0cc6e67ec4aa4fc4271ee22c9cbc30268cf193d8fde18b3dfec84ea3",
+	"doublechipkill": "e2edf2c8a395fa1937233e28f7b1556c5c3cdafd5fae7a7de307349d86c698aa",
+	"lotecc5":        "eadae39b324d3756d88058526b25e5486b0d0e5d45304704e300b6821679ab3c",
+	"lotecc5rs":      "f48b4814aa885785159dce26b900123d848f0eaf46d62e5d24c817e6967d124f",
+	"lotecc9":        "1da3ff9580a7e39d8eef4b0e1e0cd4c554a8a0896fee3c8b99844ec78ad1ec6b",
+	"multiecc":       "c9a0e1a40e3d037a7116d8ea67ebaa5f332cd3739a5a216e467c7b8ef82ddb27",
+	"ondie+chipkill": "cc0aeb8957c3a9969a15ecad9a056dae8a9dc8c0ffc659e1243fe5a4f075ccfd",
+	"ondie+raim18":   "7849bd0d973c42f0b60cea436bc246321e73b62829a7d7ed26fbc2ff24057b9d",
+	"ondie-sec":      "abdc4083c41131f3b6a660f14370dc135d721ee803a9c29be573573efadbc15a",
+	"raim":           "04c34ac0037aff8f753b2f487910138b9445f6f1f4dc9f38e53cbc318001f9e0",
+	"raim18":         "f849c6c4b636d9709e855c9b100d0e491bc2925b0f3ef2f6cf2832b6b1eaaa2c",
+}
+
+// TestGoldenFaultInjectEveryScheme pins the faultinject report of every
+// registry scheme, so a codec rewrite that moves any scheme's bytes fails
+// by name.
+func TestGoldenFaultInjectEveryScheme(t *testing.T) {
+	for _, k := range ecc.Names() {
+		p := goldenParams
+		p.Trials = 400
+		p.Seed = 7
+		p.Scheme = k
+		if got, want := goldenRun(t, p, "faultinject"), goldenFaultInjectHashes[k]; got != want {
+			t.Errorf("%s: stdout hash %s, want %s (faultinject output diverged from the golden baseline)", k, got, want)
+		}
 	}
 }

@@ -2,307 +2,223 @@ package ecc
 
 import "eccparity/internal/gf"
 
-// Chipkill36 models the 36-device commercial chipkill correct scheme: each
-// 128B line is striped across 36 x4 chips (32 data, 2 detection, 2
-// correction), one 8-bit code symbol per chip per word, four words per line.
+// Chipkill models the Reed–Solomon chipkill family: each line is striped
+// across x4 chips, one 8-bit code symbol per chip per word, four words per
+// line, and a single RS(data+det+corr, data) code protects each word. The
+// first det check symbols are the DETECTION bits, stored in the codeword and
+// recomputed and compared on every read; the remaining corr symbols are the
+// CORRECTION bits, returned apart from the codeword and replaced by the
+// cross-channel ECC parity under the overlay in package core. The decode
+// policy repairs up to maxFix chips per word and flags larger patterns as
+// detected-uncorrectable rather than risk a miscorrection.
 //
-// A single RS(36,32) code (distance 5) protects each word, exactly as the
-// commercial four-check-symbol code does. Per the paper, two of the four
-// check symbols are the DETECTION bits (chips 32–33, recomputed and compared
-// on every read) and two are the CORRECTION bits (chips 34–35 in the
-// conventional layout, or replaced by the cross-channel ECC parity under the
-// overlay in package core). The decode policy is the commercial
-// correct-one/detect-two: any single-chip failure is corrected, any
-// double-chip failure is flagged uncorrectable rather than risked.
-type Chipkill36 struct {
-	code *gf.RS // (36,32), distance 5
+// Apart from name and geometry, the three configurations differ only in
+// those four numbers:
+//
+//   - NewChipkill36: the 36-device commercial chipkill correct, RS(36,32)
+//     (distance 5) with 2 detection and 2 correction symbols, correct-one/
+//     detect-two.
+//   - NewChipkill18: the 18-device commercial chipkill (AMD family 15h),
+//     RS(18,16) whose two check symbols both detect and correct. With no
+//     separate correction bits (CorrectionSize 0) the ECC Parity overlay is
+//     never applied; it is the low-capacity-overhead, high-power baseline.
+//   - NewDoubleChipkill: a double-chipkill-correct ECC, one of the "diverse
+//     memory ECCs (e.g., chipkill correct, double chipkill correct, DIMM-kill
+//     correct)" the paper names as overlay substrates but does not evaluate.
+//     RS(40,32) (distance 9) with 2 detection and 6 correction symbols
+//     (24B per 128B line, R = 0.1875), correct-two/detect-more.
+type Chipkill struct {
+	name   string
+	geom   Geometry
+	code   *gf.RS
+	data   int // data chips (data symbols per word)
+	det    int // detection symbols per word, stored in the codeword
+	corr   int // correction symbols per word, returned separately
+	maxFix int // most symbols one word may repair
 }
 
-// NewChipkill36 constructs the scheme.
-func NewChipkill36() *Chipkill36 {
-	return &Chipkill36{code: gf.NewRS(36, 32)}
+// ckWords is the number of RS words per line: one symbol per chip per word.
+const ckWords = 4
+
+func newChipkill(name string, g Geometry, data, det, corr, maxFix int) *Chipkill {
+	return &Chipkill{name: name, geom: g, code: gf.NewRS(data+det+corr, data),
+		data: data, det: det, corr: corr, maxFix: maxFix}
 }
 
-const (
-	ck36Words     = 4   // words per 128B line
-	ck36DataChips = 32  // data symbols per word
-	ck36Line      = 128 // bytes
-)
-
-// Name implements Scheme.
-func (s *Chipkill36) Name() string { return "36-device commercial chipkill" }
-
-// Geometry implements Scheme (Table II row 1).
-func (s *Chipkill36) Geometry() Geometry {
-	return Geometry{
+// NewChipkill36 constructs the 36-device commercial chipkill (Table II
+// row 1).
+func NewChipkill36() *Chipkill {
+	return newChipkill("36-device commercial chipkill", Geometry{
 		RankConfig:      "36 x4",
 		Chips:           []ChipClass{{Width: 4, Count: 36}},
-		LineSize:        ck36Line,
+		LineSize:        128,
 		RanksPerChannel: 1,
 		ChannelsDualEq:  2,
 		ChannelsQuadEq:  4,
 		PinsDualEq:      288,
 		PinsQuadEq:      576,
-	}
+	}, 32, 2, 2, 1)
 }
 
-// Overheads implements Scheme: 4 check chips per 32 data chips, split evenly
-// between detection and correction (Fig. 1).
-func (s *Chipkill36) Overheads() Overheads {
-	return Overheads{Detection: 2.0 / 32.0, Correction: 2.0 / 32.0}
-}
-
-// CorrectionSize implements Scheme: 2 symbols × 4 words.
-func (s *Chipkill36) CorrectionSize() int { return 2 * ck36Words }
-
-// Encode implements Scheme. The codeword holds 34 shards (32 data chips + 2
-// detection chips) of 4 bytes each; the returned correction bits are the 8
-// RS(36,34) check bytes.
-func (s *Chipkill36) Encode(data []byte) (*Codeword, []byte) {
-	checkLine(s, data)
-	cw := &Codeword{Shards: make([][]byte, 34)}
-	for i := range cw.Shards {
-		cw.Shards[i] = make([]byte, ck36Words)
-	}
-	corrBits := make([]byte, 0, s.CorrectionSize())
-	word := make([]byte, ck36DataChips)
-	for w := 0; w < ck36Words; w++ {
-		for c := 0; c < ck36DataChips; c++ {
-			b := data[w*ck36DataChips+c]
-			cw.Shards[c][w] = b
-			word[c] = b
-		}
-		checks := s.code.Checks(word)
-		cw.Shards[32][w] = checks[0]
-		cw.Shards[33][w] = checks[1]
-		corrBits = append(corrBits, checks[2], checks[3])
-	}
-	return cw, corrBits
-}
-
-// Data implements Scheme.
-func (s *Chipkill36) Data(cw *Codeword) []byte {
-	out := make([]byte, ck36Line)
-	for w := 0; w < ck36Words; w++ {
-		for c := 0; c < ck36DataChips; c++ {
-			out[w*ck36DataChips+c] = cw.Shards[c][w]
-		}
-	}
-	return out
-}
-
-// Detect implements Scheme: recomputes the two detection check symbols of
-// every word and compares them against the stored ones. Inter-chip
-// detection has no localization, so SuspectChips is empty.
-func (s *Chipkill36) Detect(cw *Codeword) DetectResult {
-	if len(cw.Shards) != 34 {
-		panic(ErrBadShards)
-	}
-	word := make([]byte, ck36DataChips)
-	for w := 0; w < ck36Words; w++ {
-		for c := 0; c < ck36DataChips; c++ {
-			word[c] = cw.Shards[c][w]
-		}
-		checks := s.code.Checks(word)
-		if checks[0] != cw.Shards[32][w] || checks[1] != cw.Shards[33][w] {
-			return DetectResult{ErrorDetected: true}
-		}
-	}
-	return DetectResult{}
-}
-
-// CorrectionBits implements Scheme: the last two RS(36,32) check symbols of
-// every word.
-func (s *Chipkill36) CorrectionBits(data []byte) []byte {
-	checkLine(s, data)
-	out := make([]byte, 0, s.CorrectionSize())
-	word := make([]byte, ck36DataChips)
-	for w := 0; w < ck36Words; w++ {
-		copy(word, data[w*ck36DataChips:(w+1)*ck36DataChips])
-		checks := s.code.Checks(word)
-		out = append(out, checks[2], checks[3])
-	}
-	return out
-}
-
-// Correct implements Scheme: per-word RS(36,32) decoding with the supplied
-// correction symbols restored into positions 34–35. Distance 5 decodes any
-// ≤2-symbol pattern unambiguously; the commercial correct-one/detect-two
-// policy then accepts single-chip repairs and flags double-chip patterns as
-// detected-uncorrectable.
-func (s *Chipkill36) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, error) {
-	if len(cw.Shards) != 34 {
-		return nil, nil, ErrBadShards
-	}
-	if len(corr) != s.CorrectionSize() {
-		return nil, nil, ErrUncorrectable
-	}
-	out := make([]byte, ck36Line)
-	report := &CorrectReport{}
-	corrected := map[int]bool{}
-	full := make([]byte, 36)
-	for w := 0; w < ck36Words; w++ {
-		for c := 0; c < 34; c++ {
-			full[c] = cw.Shards[c][w]
-		}
-		full[34] = corr[2*w]
-		full[35] = corr[2*w+1]
-		before := append([]byte(nil), full...)
-		decoded, err := s.code.Decode(full)
-		if err != nil {
-			return nil, nil, ErrUncorrectable
-		}
-		fixes := 0
-		for c := 0; c < 36; c++ {
-			if full[c] != before[c] {
-				fixes++
-				if c < 34 {
-					corrected[c] = true
-				}
-			}
-		}
-		if fixes > 1 {
-			// Two chips disagreed: the commercial policy detects double
-			// failures rather than correcting them.
-			return nil, nil, ErrUncorrectable
-		}
-		copy(out[w*ck36DataChips:], decoded)
-	}
-	for c := range corrected {
-		report.CorrectedChips = append(report.CorrectedChips, c)
-	}
-	return out, report, nil
-}
-
-// Chipkill18 models the 18-device commercial chipkill correct scheme
-// (AMD family 15h): each 64B line is striped across 18 x4 chips with a
-// single RS(18,16) code whose two check symbols both detect and correct.
-// There are no separate correction bits (CorrectionSize is 0), so the ECC
-// Parity overlay is never applied to this scheme; it serves as the
-// low-capacity-overhead, high-power baseline.
-type Chipkill18 struct {
-	code *gf.RS
-}
-
-// NewChipkill18 constructs the scheme.
-func NewChipkill18() *Chipkill18 { return &Chipkill18{code: gf.NewRS(18, 16)} }
-
-const (
-	ck18Words     = 4
-	ck18DataChips = 16
-	ck18Line      = 64
-)
-
-// Name implements Scheme.
-func (s *Chipkill18) Name() string { return "18-device commercial chipkill" }
-
-// Geometry implements Scheme (Table II row 2).
-func (s *Chipkill18) Geometry() Geometry {
-	return Geometry{
+// NewChipkill18 constructs the 18-device commercial chipkill (Table II
+// row 2). RS(18,16) can never repair more than one symbol per word.
+func NewChipkill18() *Chipkill {
+	return newChipkill("18-device commercial chipkill", Geometry{
 		RankConfig:      "18 x4",
 		Chips:           []ChipClass{{Width: 4, Count: 18}},
-		LineSize:        ck18Line,
+		LineSize:        64,
 		RanksPerChannel: 1,
 		ChannelsDualEq:  4,
 		ChannelsQuadEq:  8,
 		PinsDualEq:      288,
 		PinsQuadEq:      576,
-	}
+	}, 16, 2, 0, 1)
 }
 
-// Overheads implements Scheme. The two check symbols serve detection and
+// NewDoubleChipkill constructs the double-chipkill-correct scheme. The
+// extra correction chips widen the rank to 40 devices; channel counts
+// follow the 128B-line commercial layout.
+func NewDoubleChipkill() *Chipkill {
+	return newChipkill("double chipkill correct", Geometry{
+		RankConfig:      "40 x4",
+		Chips:           []ChipClass{{Width: 4, Count: 40}},
+		LineSize:        128,
+		RanksPerChannel: 1,
+		ChannelsDualEq:  2,
+		ChannelsQuadEq:  4,
+		PinsDualEq:      320,
+		PinsQuadEq:      640,
+	}, 32, 2, 6, 2)
+}
+
+// Name implements Scheme.
+func (s *Chipkill) Name() string { return s.name }
+
+// Geometry implements Scheme.
+func (s *Chipkill) Geometry() Geometry { return s.geom }
+
+// Overheads implements Scheme: the detection and correction check chips
+// per data chip (Fig. 1). Chipkill18's two symbols serve detection and
 // correction jointly; the paper accounts them as detection-class overhead
 // since they are read on every access.
-func (s *Chipkill18) Overheads() Overheads {
-	return Overheads{Detection: 2.0 / 16.0, Correction: 0}
+func (s *Chipkill) Overheads() Overheads {
+	return Overheads{Detection: float64(s.det) / float64(s.data), Correction: float64(s.corr) / float64(s.data)}
 }
 
-// CorrectionSize implements Scheme.
-func (s *Chipkill18) CorrectionSize() int { return 0 }
+// CorrectionSize implements Scheme: corr symbols × four words.
+func (s *Chipkill) CorrectionSize() int { return s.corr * ckWords }
 
-// Encode implements Scheme: 18 shards of 4 bytes, no separate correction.
-func (s *Chipkill18) Encode(data []byte) (*Codeword, []byte) {
+// word returns the data symbols of word w of a line.
+func (s *Chipkill) word(line []byte, w int) []byte { return line[w*s.data : (w+1)*s.data] }
+
+// Encode implements Scheme. The codeword holds data+det shards of four
+// bytes each; the returned correction bits are the last corr RS check
+// symbols of every word.
+func (s *Chipkill) Encode(data []byte) (*Codeword, []byte) {
 	checkLine(s, data)
-	cw := &Codeword{Shards: make([][]byte, 18)}
+	cw := &Codeword{Shards: make([][]byte, s.data+s.det)}
 	for i := range cw.Shards {
-		cw.Shards[i] = make([]byte, ck18Words)
+		cw.Shards[i] = make([]byte, ckWords)
 	}
-	word := make([]byte, ck18DataChips)
-	for w := 0; w < ck18Words; w++ {
-		for c := 0; c < ck18DataChips; c++ {
-			b := data[w*ck18DataChips+c]
-			cw.Shards[c][w] = b
-			word[c] = b
+	corr := make([]byte, 0, s.CorrectionSize())
+	for w := 0; w < ckWords; w++ {
+		full := s.code.Encode(s.word(data, w))
+		for c := range cw.Shards {
+			cw.Shards[c][w] = full[c]
 		}
-		checks := s.code.Checks(word)
-		cw.Shards[16][w] = checks[0]
-		cw.Shards[17][w] = checks[1]
+		corr = append(corr, full[len(cw.Shards):]...)
 	}
-	return cw, nil
+	return cw, corr
 }
 
 // Data implements Scheme.
-func (s *Chipkill18) Data(cw *Codeword) []byte {
-	out := make([]byte, ck18Line)
-	for w := 0; w < ck18Words; w++ {
-		for c := 0; c < ck18DataChips; c++ {
-			out[w*ck18DataChips+c] = cw.Shards[c][w]
+func (s *Chipkill) Data(cw *Codeword) []byte {
+	out := make([]byte, s.geom.LineSize)
+	for w := 0; w < ckWords; w++ {
+		for c := 0; c < s.data; c++ {
+			out[w*s.data+c] = cw.Shards[c][w]
 		}
 	}
 	return out
 }
 
-// Detect implements Scheme.
-func (s *Chipkill18) Detect(cw *Codeword) DetectResult {
-	if len(cw.Shards) != 18 {
+// Detect implements Scheme: recomputes the detection check symbols of
+// every word and compares them against the stored ones. Inter-chip
+// detection has no localization, so SuspectChips is empty.
+func (s *Chipkill) Detect(cw *Codeword) DetectResult {
+	if len(cw.Shards) != s.data+s.det {
 		panic(ErrBadShards)
 	}
-	word := make([]byte, 18)
-	for w := 0; w < ck18Words; w++ {
-		for c := 0; c < 18; c++ {
-			word[c] = cw.Shards[c][w]
-		}
-		if s.code.HasError(word) {
-			return DetectResult{ErrorDetected: true}
+	line := s.Data(cw)
+	for w := 0; w < ckWords; w++ {
+		checks := s.code.Checks(s.word(line, w))
+		for i := 0; i < s.det; i++ {
+			if checks[i] != cw.Shards[s.data+i][w] {
+				return DetectResult{ErrorDetected: true}
+			}
 		}
 	}
 	return DetectResult{}
 }
 
-// CorrectionBits implements Scheme (none stored separately).
-func (s *Chipkill18) CorrectionBits(data []byte) []byte {
+// CorrectionBits implements Scheme: the last corr RS check symbols of
+// every word.
+func (s *Chipkill) CorrectionBits(data []byte) []byte {
 	checkLine(s, data)
-	return nil
+	out := make([]byte, 0, s.CorrectionSize())
+	for w := 0; w < ckWords; w++ {
+		out = append(out, s.code.Checks(s.word(data, w))[s.det:]...)
+	}
+	return out
 }
 
-// Correct implements Scheme: single-symbol-per-word RS decoding using the
-// in-codeword check symbols; the corr argument is ignored.
-func (s *Chipkill18) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, error) {
-	if len(cw.Shards) != 18 {
+// Correct implements Scheme: per-word RS decoding with the supplied
+// correction symbols restored after the stored ones. The full code decodes
+// any pattern within half its distance unambiguously; the policy then
+// accepts words that needed at most maxFix repairs and flags the rest as
+// detected-uncorrectable. CorrectedChips lists the repaired stored chips in
+// ascending order.
+func (s *Chipkill) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, error) {
+	stored := s.data + s.det
+	if len(cw.Shards) != stored {
 		return nil, nil, ErrBadShards
 	}
-	out := make([]byte, ck18Line)
-	report := &CorrectReport{}
-	corrected := map[int]bool{}
-	word := make([]byte, 18)
-	for w := 0; w < ck18Words; w++ {
-		for c := 0; c < 18; c++ {
-			word[c] = cw.Shards[c][w]
+	if len(corr) != s.CorrectionSize() {
+		return nil, nil, ErrUncorrectable
+	}
+	out := make([]byte, s.geom.LineSize)
+	fixed := make([]bool, stored)
+	full := make([]byte, s.code.N())
+	before := make([]byte, len(full))
+	for w := 0; w < ckWords; w++ {
+		for c := 0; c < stored; c++ {
+			full[c] = cw.Shards[c][w]
 		}
-		before := append([]byte(nil), word...)
-		decoded, err := s.code.Decode(word)
+		copy(full[stored:], corr[w*s.corr:(w+1)*s.corr])
+		copy(before, full)
+		decoded, err := s.code.Decode(full)
 		if err != nil {
 			return nil, nil, ErrUncorrectable
 		}
-		for c := 0; c < 18; c++ {
-			if word[c] != before[c] {
-				corrected[c] = true
+		fixes := 0
+		for c := range full {
+			if full[c] != before[c] {
+				fixes++
+				if c < stored {
+					fixed[c] = true
+				}
 			}
 		}
-		copy(out[w*ck18DataChips:], decoded)
+		if fixes > s.maxFix {
+			return nil, nil, ErrUncorrectable
+		}
+		copy(out[w*s.data:], decoded)
 	}
-	for c := range corrected {
-		report.CorrectedChips = append(report.CorrectedChips, c)
+	report := &CorrectReport{}
+	for c, f := range fixed {
+		if f {
+			report.CorrectedChips = append(report.CorrectedChips, c)
+		}
 	}
 	return out, report, nil
 }

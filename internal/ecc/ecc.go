@@ -2,13 +2,18 @@
 // in the ECC Parity paper (Jian & Kumar, SC'14) as real codecs over
 // per-chip data shards:
 //
-//   - Chipkill36: 36-device commercial chipkill correct (32+4 x4 chips, 128B)
-//   - Chipkill18: 18-device commercial chipkill correct (16+2 x4 chips, 64B)
+//   - Chipkill: the Reed–Solomon chipkill family, one type with its
+//     geometry as data: NewChipkill36 (36-device commercial chipkill
+//     correct, 32+4 x4 chips, 128B), NewChipkill18 (18-device, 16+2 x4,
+//     64B) and NewDoubleChipkill (double chipkill correct, 32+8 x4, 128B)
 //   - LOTECC5:    LOT-ECC with 5 chips/rank (4 x16 + 1 x8, 64B)
 //   - LOTECC9:    LOT-ECC with 9 chips/rank (9 x8, 64B)
+//   - LOTECC5RS:  LOT-ECC5 with RS second-tier symbols
 //   - MultiECC:   Multi-ECC (9 x8, 64B, multi-line compacted correction)
 //   - RAIM:       commercial DIMM-kill correct (45 x4 = 5 DIMMs, 128B)
 //   - RAIMParity: the 18-device RAIM rank used under RAIM + ECC Parity
+//   - OnDie, OnDieOnly: per-chip on-die SEC, under a rank-level scheme or
+//     alone on a non-ECC rank
 //
 // Every scheme separates its redundancy into DETECTION bits, which are
 // recomputed and checked on each read, and CORRECTION bits, which are only
@@ -18,13 +23,11 @@
 // of lines in different channels is itself a meaningful parity from which
 // any one line's correction bits can be re-derived.
 //
-// Fidelity note: the commercial chipkill codes are modelled as a detection
-// code RS(34,32) over the data symbols plus a correction code RS(36,34)
-// over data+detection symbols (one 8-bit symbol per chip), rather than the
-// proprietary single 4-check-symbol code. Both structures devote two
-// symbols to detection and two to correction, tolerate any single-chip
-// failure, and have identical storage geometry, which is what the paper's
-// evaluation consumes.
+// Fidelity note: the 36-device chipkill is one RS(36,32) code per word,
+// like the commercial four-check-symbol code. Which two check symbols are
+// detection bits is this model's choice: detection recomputes the first
+// two, and correction decodes with all four, the last two being the
+// correction bits the overlay replaces.
 package ecc
 
 import (
@@ -135,7 +138,7 @@ type DetectResult struct {
 
 // CorrectReport describes what a successful correction did.
 type CorrectReport struct {
-	CorrectedChips []int // chips whose contribution was repaired
+	CorrectedChips []int // chips whose contribution was repaired, ascending
 	UsedErasure    bool  // correction used known-location (erasure) decoding
 }
 

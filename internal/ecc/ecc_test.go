@@ -99,14 +99,8 @@ func dataShardCount(s Scheme, cw *Codeword) int {
 	case *OnDie:
 		// Composite shards map 1:1 onto the base scheme's.
 		return dataShardCount(v.Base(), cw)
-	}
-	switch s.(type) {
-	case *Chipkill36:
-		return 32
-	case *DoubleChipkill:
-		return 32
-	case *Chipkill18:
-		return 16
+	case *Chipkill:
+		return v.data
 	case *RAIM:
 		return 4
 	case *RAIMParity:

@@ -25,10 +25,6 @@ type LOTECC struct {
 	ledPerChip int // LED checksum bytes per data chip (1 or 2)
 	geom       Geometry
 	over       Overheads
-	// linesPerGEC is how many logically adjacent data lines share one GEC
-	// memory line (4 for LOT-ECC5, 8 for LOT-ECC9); used by the traffic
-	// model for ECC-cacheline coverage.
-	linesPerGEC int
 }
 
 // NewLOTECC5 constructs the five-chip-per-rank LOT-ECC implementation.
@@ -53,8 +49,7 @@ func NewLOTECC5() *LOTECC {
 		},
 		// LED chip is 1/8 of data capacity; each 72B GEC line (64B of GEC
 		// + 8B of its own LED) covers four 64B data lines: 72/256.
-		over:        Overheads{Detection: 0.125, Correction: 72.0 / 256.0},
-		linesPerGEC: 4,
+		over: Overheads{Detection: 0.125, Correction: 72.0 / 256.0},
 	}
 }
 
@@ -76,8 +71,7 @@ func NewLOTECC9() *LOTECC {
 			PinsQuadEq:      576,
 		},
 		// Each 72B GEC line covers eight 64B data lines: 72/512.
-		over:        Overheads{Detection: 0.125, Correction: 72.0 / 512.0},
-		linesPerGEC: 8,
+		over: Overheads{Detection: 0.125, Correction: 72.0 / 512.0},
 	}
 }
 
@@ -89,9 +83,6 @@ func (s *LOTECC) Geometry() Geometry { return s.geom }
 
 // Overheads implements Scheme.
 func (s *LOTECC) Overheads() Overheads { return s.over }
-
-// LinesPerGECLine returns how many data lines one GEC memory line covers.
-func (s *LOTECC) LinesPerGECLine() int { return s.linesPerGEC }
 
 // CorrectionSize implements Scheme: the GEC shard-XOR, one shard wide.
 func (s *LOTECC) CorrectionSize() int { return s.shardSize }

@@ -1,6 +1,10 @@
 package ecc
 
-import "bytes"
+import (
+	"bytes"
+
+	"eccparity/internal/gf"
+)
 
 // MultiECC models Multi-ECC (Jian et al., SC'13): 64B lines across 9 x8
 // chips. Tier 1 is a per-line checksum in the ninth chip, verified on every
@@ -13,11 +17,11 @@ import "bytes"
 // chip in turn, erasure-decode, and accept the unique repair that satisfies
 // the line checksum.
 type MultiECC struct {
-	rs *rsColumn
+	code *gf.RS // (10,8), one codeword per byte column
 }
 
 // NewMultiECC constructs the scheme.
-func NewMultiECC() *MultiECC { return &MultiECC{rs: newRSColumn()} }
+func NewMultiECC() *MultiECC { return &MultiECC{code: gf.NewRS(10, 8)} }
 
 const (
 	meDataChips = 8
@@ -26,7 +30,9 @@ const (
 	// meLinesPerECCLine is how many data lines share one compacted ECC
 	// line; with 16B of T2 checks per line and XOR compaction of groups of
 	// 64 lines, correction storage is 16·1.125/(64·64) ≈ 0.44% (12.9% total
-	// with the 12.5% checksum chip, Table III).
+	// with the 12.5% checksum chip, Table III). It sets the capacity
+	// overhead only: the timing engine's ECC-line coverage is the scheme
+	// table's Entry.LinesPerECCLine, which is 16.
 	meLinesPerECCLine = 64
 )
 
@@ -54,9 +60,6 @@ func (s *MultiECC) Overheads() Overheads {
 		Correction: 16.0 * 1.125 / (meLine * meLinesPerECCLine),
 	}
 }
-
-// LinesPerECCLine returns how many data lines share one compacted ECC line.
-func (s *MultiECC) LinesPerECCLine() int { return meLinesPerECCLine }
 
 // CorrectionSize implements Scheme: 2 RS check bytes per byte column.
 func (s *MultiECC) CorrectionSize() int { return 2 * meShard }
@@ -114,11 +117,48 @@ func (s *MultiECC) CorrectionBits(data []byte) []byte {
 		for c := 0; c < meDataChips; c++ {
 			col[c] = data[c*meShard+j]
 		}
-		checks := s.rs.checks(col)
-		out[2*j] = checks[0]
-		out[2*j+1] = checks[1]
+		copy(out[2*j:], s.code.Checks(col))
 	}
 	return out
+}
+
+// column fills cw with RS codeword j of a line: byte j of every data chip
+// followed by that column's two check bytes.
+func (s *MultiECC) column(cw, line, corr []byte, j int) {
+	for c := 0; c < meDataChips; c++ {
+		cw[c] = line[c*meShard+j]
+	}
+	cw[meDataChips] = corr[2*j]
+	cw[meDataChips+1] = corr[2*j+1]
+}
+
+// consistent reports whether every column of the line agrees with the
+// supplied check bytes.
+func (s *MultiECC) consistent(line, corr []byte) bool {
+	cw := make([]byte, s.code.N())
+	for j := 0; j < meShard; j++ {
+		s.column(cw, line, corr, j)
+		if s.code.HasError(cw) {
+			return false
+		}
+	}
+	return true
+}
+
+// eraseChip erasure-decodes every column with chip c erased and returns the
+// repaired line.
+func (s *MultiECC) eraseChip(line, corr []byte, c int) ([]byte, error) {
+	out := append([]byte(nil), line...)
+	cw := make([]byte, s.code.N())
+	for j := 0; j < meShard; j++ {
+		s.column(cw, line, corr, j)
+		decoded, err := s.code.DecodeErasures(cw, []int{c})
+		if err != nil {
+			return nil, err
+		}
+		out[c*meShard+j] = decoded[c]
+	}
+	return out, nil
 }
 
 // Correct implements Scheme. Multi-ECC has no localizing detection, so it
@@ -135,20 +175,20 @@ func (s *MultiECC) Correct(cw *Codeword, corr []byte) ([]byte, *CorrectReport, e
 	raw := s.Data(cw)
 	stored := cw.Shards[meDataChips]
 
-	// Fast path: checksum consistent and T2 syndromes clean.
-	if bytes.Equal(lineChecksum(raw), stored) && s.rs.consistent(raw, corr) {
-		return raw, &CorrectReport{}, nil
-	}
-	// If the T2 code validates the raw data, the detection checksum itself
-	// is the corrupted party.
-	if s.rs.consistent(raw, corr) {
+	if s.consistent(raw, corr) {
+		// Fast path: checksum consistent and T2 syndromes clean.
+		if bytes.Equal(lineChecksum(raw), stored) {
+			return raw, &CorrectReport{}, nil
+		}
+		// The T2 code validates the raw data, so the detection checksum
+		// itself is the corrupted party.
 		return raw, &CorrectReport{CorrectedChips: []int{meDataChips}}, nil
 	}
 	// Trial-erase each data chip.
 	winner := -1
 	var winnerLine []byte
 	for c := 0; c < meDataChips; c++ {
-		cand, err := s.rs.eraseChip(raw, corr, c)
+		cand, err := s.eraseChip(raw, corr, c)
 		if err != nil {
 			continue
 		}

@@ -3,6 +3,7 @@ package ecc
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -36,7 +37,7 @@ func TestChipkill36DoubleChipDetectedNotMiscorrected(t *testing.T) {
 
 func TestChipkill36CorruptedCorrectionBitsTolerated(t *testing.T) {
 	// A fault in the chips storing correction bits must not corrupt data:
-	// RS(36,34) treats the bad check symbol as the single error.
+	// RS(36,32) treats the bad check symbol as the single error.
 	r := rand.New(rand.NewSource(21))
 	s := NewChipkill36()
 	d := randLine(r, s)
@@ -76,10 +77,10 @@ func TestChipkill18DetectionCoverageReduced(t *testing.T) {
 }
 
 func TestLOTECCGECGroupFactors(t *testing.T) {
-	if NewLOTECC5().LinesPerGECLine() != 4 {
+	if e, _ := Info("lotecc5"); e.LinesPerECCLine != 4 {
 		t.Error("LOT-ECC5 GEC line must cover 4 data lines")
 	}
-	if NewLOTECC9().LinesPerGECLine() != 8 {
+	if e, _ := Info("lotecc9"); e.LinesPerECCLine != 8 {
 		t.Error("LOT-ECC9 GEC line must cover 8 data lines")
 	}
 }
@@ -293,8 +294,10 @@ func TestDoubleChipkillTwoChipKill(t *testing.T) {
 		if !bytes.Equal(got, d) {
 			t.Fatalf("trial %d: wrong data", trial)
 		}
-		if len(rep.CorrectedChips) == 0 {
-			t.Fatalf("trial %d: no repair reported", trial)
+		want := []int{perm[0], perm[1]}
+		slices.Sort(want)
+		if !slices.Equal(rep.CorrectedChips, want) {
+			t.Fatalf("trial %d: CorrectedChips %v, want %v in ascending order", trial, rep.CorrectedChips, want)
 		}
 	}
 }
