@@ -113,6 +113,31 @@ func TestLOTECCTwoChipFailureUncorrectable(t *testing.T) {
 	}
 }
 
+func TestMultiECCLineCoverage(t *testing.T) {
+	// The capacity overhead compacts 64 data lines per ECC line: 16B of T2
+	// checks per line, XOR-compacted over 64 lines, is 16·1.125/(64·64)
+	// correction storage, Table III's 12.9% with the checksum chip...
+	if meLinesPerECCLine != 64 {
+		t.Fatalf("meLinesPerECCLine = %d, want 64", meLinesPerECCLine)
+	}
+	o := NewMultiECC().Overheads()
+	if want := 16.0 * 1.125 / (64 * 64); o.Correction != want {
+		t.Fatalf("correction overhead %g, want %g", o.Correction, want)
+	}
+	if total := o.Detection + o.Correction; total < 0.1285 || total >= 0.1295 {
+		t.Fatalf("total overhead %.4f, want Table III's 12.9%%", total)
+	}
+	// ...while the timing engine's ECC-line traffic covers 16 lines per
+	// ECC line: known divergence 5 of EXPERIMENTS.md.
+	e, ok := Info("multiecc")
+	if !ok {
+		t.Fatal("no multiecc registry entry")
+	}
+	if e.Traffic != TrafficECCLine || e.LinesPerECCLine != 16 {
+		t.Fatalf("multiecc traffic %v over %d lines per ECC line, want ECC-line traffic over 16", e.Traffic, e.LinesPerECCLine)
+	}
+}
+
 func TestMultiECCLocalizationByTrial(t *testing.T) {
 	// Multi-ECC has no localizing checksum; verify the trial decoder finds
 	// the right chip for every position.

@@ -16,14 +16,21 @@
 // chunk of Monte Carlo trials), it runs at most one queued interactive job
 // inline, then returns to its own work (see lend). An interactive job
 // therefore waits for one task, not one whole sweep point or campaign.
+//
+// Once SetNetPoll installs a forced network poll, every job's context also
+// carries a yield hook (parallel.WithYield) for the engine's checkpoints.
+// The hook forces the poll while busy pool workers fill every P, so network
+// readiness is seen within about a millisecond, not sysmon's 10 ms.
 package jobqueue
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"eccparity/internal/parallel"
@@ -150,6 +157,11 @@ type Queue struct {
 	changeG  map[string]chan struct{}    // per-group transition channels (ChangedGroup)
 	dispatch chan struct{}               // closed and replaced whenever a job is queued (or on Close)
 	waitHist [numClasses]stats.Histogram // queue-wait ms per class
+	park     func() bool                 // forced network poll (SetNetPoll); nil = none
+
+	// busy counts pool workers running a job; a lent job runs on its
+	// lender's worker and adds nothing. Atomic: the yield hook reads it.
+	busy atomic.Int32
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -204,7 +216,9 @@ func (q *Queue) workerLoop(ctx context.Context) {
 		q.mu.Lock()
 		if j := q.sched.pop(); j != nil {
 			q.mu.Unlock()
+			q.busy.Add(1)
 			q.run(j)
+			q.busy.Add(-1)
 			continue
 		}
 		if q.closed {
@@ -310,6 +324,9 @@ func (q *Queue) run(j *job) {
 	if j.class != ClassInteractive {
 		j.ctx = parallel.WithBoundary(j.ctx, func() { q.lend(j) })
 	}
+	if park := q.park; park != nil {
+		j.ctx = parallel.WithYield(j.ctx, func() { q.yield(park) })
+	}
 	q.mu.Unlock()
 
 	res, err := runTask(j)
@@ -354,6 +371,27 @@ func (q *Queue) lend(j *job) {
 	q.mu.Lock()
 	j.lending = false
 	q.mu.Unlock()
+}
+
+// SetNetPoll installs park, the daemon's forced network poll: park blocks
+// until the runtime's network poller has run, and reports whether it did.
+// Jobs started after the call carry a yield hook for the engine's
+// checkpoints that calls park while busy pool workers number at least
+// runtime.GOMAXPROCS(0), and runtime.Gosched otherwise or when park did not
+// park. With a P to spare, an idle P polls anyway, and a forced poll would
+// only wake an idle thread (DESIGN.md §10, "Yield").
+func (q *Queue) SetNetPoll(park func() bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.park = park
+}
+
+// yield is the engine-checkpoint hook of a job's context (see SetNetPoll).
+func (q *Queue) yield(park func() bool) {
+	if int(q.busy.Load()) >= runtime.GOMAXPROCS(0) && park() {
+		return
+	}
+	runtime.Gosched()
 }
 
 // lentKey marks the context of a job running on a lent worker.

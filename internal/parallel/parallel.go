@@ -36,6 +36,26 @@ func Workers(requested, n int) int {
 	return requested
 }
 
+// yieldKey is the context key of a WithYield hook.
+type yieldKey struct{}
+
+// WithYield returns a copy of ctx carrying yield, which Yield calls in place
+// of runtime.Gosched. It lets whoever starts a long computation decide how
+// the computation's periodic checkpoints give up their processor.
+func WithYield(ctx context.Context, yield func()) context.Context {
+	return context.WithValue(ctx, yieldKey{}, yield)
+}
+
+// Yield gives up the processor through ctx's WithYield hook, or through
+// runtime.Gosched when ctx carries none.
+func Yield(ctx context.Context) {
+	if yield, _ := ctx.Value(yieldKey{}).(func()); yield != nil {
+		yield()
+		return
+	}
+	runtime.Gosched()
+}
+
 // capture invokes fn for one task, converting a panic into an error so a
 // single bad task cannot kill the whole campaign's process.
 func capture[T any](ctx context.Context, i int, fn func(ctx context.Context, i int) (T, error)) (out T, err error) {

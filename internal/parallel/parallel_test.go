@@ -2,7 +2,9 @@ package parallel
 
 import (
 	"bytes"
+	"context"
 	"strings"
+	"sync/atomic"
 	"testing"
 )
 
@@ -35,5 +37,25 @@ func TestProgress(t *testing.T) {
 	nilP.Step() // must not panic
 	if NewProgress(nil, "x", 5) != nil || NewProgress(&buf, "x", 0) != nil {
 		t.Fatal("degenerate progress must be the nil no-op")
+	}
+}
+
+// TestYieldHook pins WithYield: Yield calls the hook once per call, tasks
+// of a Shared set joined under the context inherit it (unlike the boundary
+// hook, since an engine run inside a task is what yields), and a context
+// without one yields through runtime.Gosched.
+func TestYieldHook(t *testing.T) {
+	Yield(context.Background())
+	var yields atomic.Int64
+	ctx := WithYield(context.Background(), func() { yields.Add(1) })
+	Yield(ctx)
+	if _, err := NewShared(6, func(ctx context.Context, i int) (int, error) {
+		Yield(ctx)
+		return i, nil
+	}).Join(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	if n := yields.Load(); n != 7 {
+		t.Fatalf("hook ran %d times for 7 yields", n)
 	}
 }

@@ -138,6 +138,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("eccsimd_jobs_lent_total", "Interactive jobs run inline on the worker of a running sweep or batch job, between its simulation cells.", qc.Lent)
 	counter("eccsimd_rejected_full_total", "Submissions rejected with 429 because the queue was saturated.", s.metrics.rejectedFull.Load())
 	counter("eccsimd_cancel_requests_total", "Accepted DELETE /v1/jobs cancellations.", s.metrics.cancelRequests.Load())
+	counter("eccsimd_net_polls_forced_total", "Engine checkpoints that parked to force a network poll because every processor was computing (at most one per millisecond).", s.poll.forced.Load())
 
 	counter("eccsimd_sweeps_total", "Sweeps accepted via POST /v1/sweeps.", s.metrics.sweepsSubmitted.Load())
 	counter("eccsimd_sweep_points_expanded_total", "Points the accepted sweeps expanded to.", s.metrics.sweepPointsExpanded.Load())

@@ -118,6 +118,7 @@ type Server struct {
 	metrics *metrics
 	mux     *http.ServeMux
 	peers   *peering // nil = single-node
+	poll    *netPoller
 
 	// exec is the daemon-wide evaluation store every job worker computes
 	// through, so points that need the same evaluation matrix share it —
@@ -161,7 +162,9 @@ func New(o Options) (*Server, error) {
 		peers:   peers,
 		sweeps:  map[string]*sweepRec{},
 		exec:    report.NewExecutor(o.Progress),
+		poll:    newNetPoller(),
 	}
+	s.queue.SetNetPoll(s.poll.park)
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/experiments", s.handleSubmit)
 	mux.HandleFunc("GET /v1/experiments", s.handleList)
@@ -193,8 +196,15 @@ func (s *Server) Drain(ctx context.Context) error {
 	// drain leaves every computed result in the shared tier for the
 	// surviving replicas.
 	s.cache.FlushShared()
+	s.Close()
 	return err
 }
+
+// Close releases the forced network poll's pipe and waits for its reader
+// goroutine to exit; engine checkpoints still running fall back to
+// runtime.Gosched. Drain calls it once the backlog has settled, so only a
+// Server that is never drained needs it. It is idempotent.
+func (s *Server) Close() { s.poll.Close() }
 
 // canonicalConfig is exactly what gets hashed into the result address.
 // report.Params omits Workers from its JSON encoding, and TimeoutSeconds is

@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"eccparity/internal/cache"
 	"eccparity/internal/core"
 	"eccparity/internal/cpu"
 	"eccparity/internal/ecc"
 	"eccparity/internal/mem"
+	"eccparity/internal/parallel"
 	"eccparity/internal/workload"
 )
 
@@ -135,7 +135,7 @@ type engine struct {
 	gens     []workload.Source
 	channels int
 	r        float64
-	line     int
+	line     int      // a power of two: cache.New rejects any other line size
 	marked   [][]bool // [channel][rank*banks+bank]
 	warm     bool
 	// lastMiss tracks each core's previous demand-miss address for the
@@ -162,15 +162,17 @@ type engine struct {
 const ctxCheckEvery = 1024
 
 // checkpoint is the engine's periodic stop: it returns ctx's error once ctx
-// is canceled, and otherwise yields the processor, so a goroutine that is
-// waiting to run (an HTTP handler or client woken while every processor
-// computes) waits at most one checkpoint interval instead of a whole run or
-// the runtime's 10 ms preemption tick. Yielding reorders no engine work.
+// is canceled, and otherwise yields the processor through parallel.Yield, so
+// a goroutine that is waiting to run (an HTTP handler or client woken while
+// every processor computes) waits at most one checkpoint interval instead of
+// a whole run or the runtime's 10 ms preemption tick. The yield is
+// runtime.Gosched unless ctx carries a parallel.WithYield hook (the daemon's
+// job contexts do, to force network polls). Yielding reorders no engine work.
 func checkpoint(ctx context.Context) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	runtime.Gosched()
+	parallel.Yield(ctx)
 	return nil
 }
 
@@ -296,7 +298,7 @@ func (e *engine) handleAccess(ci int, acc workload.Access) {
 		}
 		// A hit on a still-in-flight prefetch is a "late hit": the core
 		// waits for the fill like a short miss.
-		line := acc.Addr / uint64(e.line) * uint64(e.line)
+		line := acc.Addr &^ uint64(e.line-1)
 		if ready, ok := e.inflight.take(line); ok {
 			if !acc.Write && ready > c.Time() {
 				at := c.BeginMiss()
@@ -354,8 +356,7 @@ func (e *engine) prefetch(ci int, addr uint64) {
 	if !trained {
 		return
 	}
-	la := uint64(e.line)
-	pf := (addr/la + 1) * la
+	pf := addr&^uint64(e.line-1) + uint64(e.line)
 	// Allocate is the probe-then-fill pair in one set scan: a line already
 	// present is left untouched.
 	present, pfV, pfEv := e.llc.Allocate(pf, cache.Data)

@@ -164,7 +164,11 @@ func (g *Generator) Next() Access {
 		gap = 100000
 	}
 	if g.rng.Float64() < g.spec.Seq {
-		g.cur = (g.cur + 1) % g.lines
+		// cur < lines always holds, so this is (cur+1) % lines without
+		// the division.
+		if g.cur++; g.cur == g.lines {
+			g.cur = 0
+		}
 	} else {
 		g.cur = uint64(g.rng.Int63n(int64(g.lines)))
 	}
