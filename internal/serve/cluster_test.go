@@ -81,6 +81,13 @@ func ecBlob(dirs []string) func(*testing.T) blob.Backend {
 // replica's real address.
 func startCluster(t *testing.T, n int, newBlob func(*testing.T) blob.Backend) ([]*clusterNode, *cluster.Ring) {
 	t.Helper()
+	return startClusterWrapped(t, n, newBlob, nil)
+}
+
+// startClusterWrapped is startCluster with each replica's handler passed
+// through wrap (when non-nil) before it serves, e.g. to record requests.
+func startClusterWrapped(t *testing.T, n int, newBlob func(*testing.T) blob.Backend, wrap func(id string, h http.Handler) http.Handler) ([]*clusterNode, *cluster.Ring) {
+	t.Helper()
 	lns := make([]net.Listener, n)
 	peers := make([]cluster.Node, n)
 	for i := range lns {
@@ -105,7 +112,11 @@ func startCluster(t *testing.T, n int, newBlob func(*testing.T) blob.Backend) ([
 		if err != nil {
 			t.Fatal(err)
 		}
-		hs := &http.Server{Handler: s.Handler()}
+		h := s.Handler()
+		if wrap != nil {
+			h = wrap(peers[i].ID, h)
+		}
+		hs := &http.Server{Handler: h}
 		nodes[i] = &clusterNode{id: peers[i].ID, url: peers[i].Addr, srv: s, http: hs}
 		go hs.Serve(lns[i])
 	}
@@ -139,8 +150,18 @@ func keyFor(t *testing.T, experiment string, p report.Params) string {
 // wanted replica — the white-box way to steer test traffic across the ring.
 func seedOwnedBy(t *testing.T, ring *cluster.Ring, nodeID string, from int64) int64 {
 	t.Helper()
+	return ownedSeed(t, ring, nodeID, "table3", testParams(0), from)
+}
+
+// ownedSeed is seedOwnedBy for any experiment and budget: the first seed
+// from `from` on whose normalized (experiment, base with that seed) config
+// the wanted replica owns.
+func ownedSeed(t *testing.T, ring *cluster.Ring, nodeID, experiment string, base report.Params, from int64) int64 {
+	t.Helper()
 	for seed := from; seed < from+10_000; seed++ {
-		if ring.Owner(keyFor(t, "table3", testParams(seed))).ID == nodeID {
+		p := base
+		p.Seed = seed
+		if ring.Owner(keyFor(t, experiment, p.Normalized())).ID == nodeID {
 			return seed
 		}
 	}
@@ -443,13 +464,13 @@ func TestClusterRelayedResultReadIsOneHop(t *testing.T) {
 	}
 }
 
-// A single submission whose owner's queue is full runs on the receiving
-// replica, as a sweep point does, instead of relaying the owner's 429.
-func TestClusterSubmitRunsLocallyWhenOwnerSaturated(t *testing.T) {
-	nodes, ring := startCluster(t, 2, nil)
-	owner := nodes[1]
+// saturate fills s's queue with jobs held until the test ends: every job
+// worker busy first, then the buffer, so the next submission gets ErrFull.
+// Call it after startCluster, so the held jobs end before the fleet drains.
+func saturate(t *testing.T, s *Server) {
+	t.Helper()
 	release := make(chan struct{})
-	t.Cleanup(func() { close(release) }) // before the fleet drains
+	t.Cleanup(func() { close(release) })
 	started := make(chan struct{}, 1)
 	held := func(ctx context.Context) (any, error) {
 		select {
@@ -463,20 +484,27 @@ func TestClusterSubmitRunsLocallyWhenOwnerSaturated(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}
-	// Occupy every job worker first, so the buffer only fills after.
-	for range owner.srv.opts.JobWorkers {
-		if _, err := owner.srv.queue.SubmitWith(held, jobqueue.SubmitOptions{}); err != nil {
+	for range s.opts.JobWorkers {
+		if _, err := s.queue.SubmitWith(held, jobqueue.SubmitOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		<-started
 	}
 	for full := false; !full; {
-		_, err := owner.srv.queue.SubmitWith(held, jobqueue.SubmitOptions{})
+		_, err := s.queue.SubmitWith(held, jobqueue.SubmitOptions{})
 		full = errors.Is(err, jobqueue.ErrFull)
 		if err != nil && !full {
 			t.Fatal(err)
 		}
 	}
+}
+
+// A single submission whose owner's queue is full runs on the receiving
+// replica, as a sweep point does, instead of relaying the owner's 429.
+func TestClusterSubmitRunsLocallyWhenOwnerSaturated(t *testing.T) {
+	nodes, ring := startCluster(t, 2, nil)
+	owner := nodes[1]
+	saturate(t, owner.srv)
 
 	ca := api.NewClient(nodes[0].url)
 	ctx := context.Background()

@@ -118,24 +118,40 @@ func TestNetPollFallback(t *testing.T) {
 	})
 }
 
+// returnsWithin fails the test unless f returns within awaitClosed's bound;
+// f runs on its own goroutine, so a call that blocks forever fails the test
+// instead of hanging the binary.
+func returnsWithin(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	awaitClosed(t, done, what)
+}
+
 // TestNetPollReaderExitsOnClose pins the reader's lifetime to the daemon's:
 // Close (and Drain, which calls it) stops the reader goroutine, and a
-// second Close is harmless.
+// second Close is harmless. Close waits for the reader, so each call runs
+// under a bound.
 func TestNetPollReaderExitsOnClose(t *testing.T) {
 	s, err := New(Options{Workers: 1, JobWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
+	returnsWithin(t, "Close to return", s.Close)
 	awaitClosed(t, s.poll.exited, "the reader to exit on Close")
-	s.Close()
+	returnsWithin(t, "a second Close to return", s.Close)
 
 	d, err := New(Options{Workers: 1, JobWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Drain(context.Background()); err != nil {
-		t.Fatal(err)
+	var derr error
+	returnsWithin(t, "Drain to return", func() { derr = d.Drain(context.Background()) })
+	if derr != nil {
+		t.Fatal(derr)
 	}
 	awaitClosed(t, d.poll.exited, "the reader to exit on Drain")
 }

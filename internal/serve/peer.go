@@ -22,14 +22,14 @@ package serve
 //     the same config yields byte-identical results on any replica, so the
 //     worst case is duplicated work, never divergence.
 //
-// Forwarded requests carry X-Eccsimd-Relay naming the forwarding node; a
-// relayed request is always handled locally, which bounds every forwarding
-// chain at one hop and makes routing loops impossible.
+// Every peer request carries X-Eccsimd-Relay naming the sending node — the
+// peering client's transport sets it — and a relayed request is always
+// handled locally, which bounds every forwarding chain at one hop and makes
+// routing loops impossible.
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -48,8 +48,9 @@ const (
 	servedByHeader = "X-Eccsimd-Served-By"
 )
 
-// peerSubmitTimeout bounds one forwarded submission or remote job poll —
-// both are queue/metadata operations, never computes, so seconds suffice.
+// peerSubmitTimeout bounds one forwarded submission, remote job poll or
+// cancel, or proxied result read — queue/metadata operations and cached
+// bytes, never computes, so seconds suffice.
 const peerSubmitTimeout = 10 * time.Second
 
 // peering is the per-server cluster state: this replica's identity, the
@@ -58,9 +59,23 @@ const peerSubmitTimeout = 10 * time.Second
 type peering struct {
 	self cluster.Node
 	ring *cluster.Ring
-	// hc has no global timeout: proxied sweep watches stream for up to the
-	// watch window. Per-call deadlines come from request contexts.
+	// hc tags every request as relayed and has no global timeout: proxied
+	// sweep watches stream for up to the watch window. Per-call deadlines
+	// come from request contexts.
 	hc *http.Client
+	// clients holds one API client per replica, keyed by node id, for
+	// forwarded submissions and remote job polls and cancels.
+	clients map[string]*api.Client
+}
+
+// relayTransport sets the relay header, naming this replica, on every
+// request it carries.
+type relayTransport struct{ from string }
+
+func (t relayTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	r = r.Clone(r.Context())
+	r.Header.Set(relayHeader, t.from)
+	return http.DefaultTransport.RoundTrip(r)
 }
 
 func newPeering(nodeID string, peers []cluster.Node, vnodes int) (*peering, error) {
@@ -72,7 +87,12 @@ func newPeering(nodeID string, peers []cluster.Node, vnodes int) (*peering, erro
 	if !ok {
 		return nil, fmt.Errorf("serve: node id %q is not in the peer list", nodeID)
 	}
-	return &peering{self: self, ring: ring, hc: &http.Client{}}, nil
+	p := &peering{self: self, ring: ring, clients: map[string]*api.Client{},
+		hc: &http.Client{Transport: relayTransport{from: self.ID}}}
+	for _, n := range ring.Nodes() {
+		p.clients[n.ID] = &api.Client{BaseURL: n.Addr, HTTPClient: p.hc}
+	}
+	return p, nil
 }
 
 // clustered reports whether this server is part of a fleet.
@@ -116,24 +136,6 @@ func (s *Server) routeID(wire string) (node, local string, remote bool) {
 // handled locally (one-hop bound).
 func relayed(r *http.Request) bool { return r.Header.Get(relayHeader) != "" }
 
-// peerDo sends one request to a peer with the relay header set, so the
-// receiver handles it locally instead of forwarding again.
-func (p *peering) peerDo(ctx context.Context, method, url string, body []byte) (*http.Response, error) {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set(relayHeader, p.self.ID)
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	return p.hc.Do(req)
-}
-
 // proxyToNode forwards the incoming request as-is (path, query, body) to a
 // named peer and streams the response back, flushing per chunk so proxied
 // NDJSON watch streams stay live. Unknown or unreachable peers answer 502 —
@@ -144,15 +146,17 @@ func (s *Server) proxyToNode(w http.ResponseWriter, r *http.Request, nodeID stri
 		httpError(w, http.StatusNotFound, api.CodeNotFound, "unknown replica %q in id %q", nodeID, r.URL.Path)
 		return
 	}
-	var body []byte
-	if r.Body != nil {
-		body, _ = io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
-	}
+	body, _ := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	url := node.Addr + r.URL.Path
 	if r.URL.RawQuery != "" {
 		url += "?" + r.URL.RawQuery
 	}
-	resp, err := s.peers.peerDo(r.Context(), r.Method, url, body)
+	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, bytes.NewReader(body))
+	var resp *http.Response
+	if err == nil {
+		req.Header.Set("Content-Type", "application/json") // of the body, if any
+		resp, err = s.peers.hc.Do(req)
+	}
 	if err != nil {
 		httpError(w, http.StatusBadGateway, api.CodeInternal, "replica %s unreachable: %v", nodeID, err)
 		return
@@ -209,7 +213,11 @@ func (s *Server) proxyResultRead(w http.ResponseWriter, r *http.Request, hash st
 func (s *Server) proxyResultFrom(w http.ResponseWriter, r *http.Request, n cluster.Node, hash string) bool {
 	ctx, cancel := context.WithTimeout(r.Context(), peerSubmitTimeout)
 	defer cancel()
-	resp, err := s.peers.peerDo(ctx, http.MethodGet, n.Addr+"/v1/results/"+hash, nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, n.Addr+"/v1/results/"+hash, nil)
+	if err != nil {
+		return false
+	}
+	resp, err := s.peers.hc.Do(req)
 	if err != nil {
 		return false
 	}
@@ -223,73 +231,17 @@ func (s *Server) proxyResultFrom(w http.ResponseWriter, r *http.Request, n clust
 	return true
 }
 
-// remoteSubmit forwards one submission or sweep point to its owner as a
-// relay-tagged single submission and reports what came back: a cache hit,
-// an accepted remote job, or (on any transport/queue trouble, a full or
-// draining owner included) ok=false so the caller runs it locally.
-func (s *Server) remoteSubmit(ctx context.Context, owner cluster.Node, req api.SubmitRequest) (resp api.SubmitResponse, ok bool) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return api.SubmitResponse{}, false
-	}
-	ctx, cancel := context.WithTimeout(ctx, peerSubmitTimeout)
-	defer cancel()
-	hr, err := s.peers.peerDo(ctx, http.MethodPost, owner.Addr+"/v1/experiments", body)
-	if err != nil {
-		s.metrics.peerForwardFallback.Add(1)
-		return api.SubmitResponse{}, false
-	}
-	defer hr.Body.Close()
-	if hr.StatusCode != http.StatusOK && hr.StatusCode != http.StatusAccepted {
-		s.metrics.peerForwardFallback.Add(1)
-		return api.SubmitResponse{}, false
-	}
-	if err := json.NewDecoder(hr.Body).Decode(&resp); err != nil {
-		s.metrics.peerForwardFallback.Add(1)
-		return api.SubmitResponse{}, false
-	}
-	s.metrics.peerForwarded.Add(1)
-	return resp, true
-}
-
-// remoteJobStatus polls a remote job by its wire id on the node that owns
-// it. ok=false means the owner could not answer — dead, draining, or the
-// job record is gone — and the caller should adopt the point.
-func (s *Server) remoteJobStatus(ctx context.Context, nodeID, wireJobID string) (api.JobStatus, bool) {
-	node, found := s.peers.ring.Lookup(nodeID)
+// remoteJob makes one job call — (*api.Client).Job to poll, or
+// (*api.Client).Cancel to cancel — on the replica running a sweep point,
+// and reports the job's status there. ok=false means the replica could not
+// answer: dead, draining, or the job record is gone.
+func (s *Server) remoteJob(ctx context.Context, nodeID, wireJobID string, call func(*api.Client, context.Context, string) (api.JobStatus, error)) (api.JobStatus, bool) {
+	c, found := s.peers.clients[nodeID]
 	if !found {
 		return api.JobStatus{}, false
 	}
 	ctx, cancel := context.WithTimeout(ctx, peerSubmitTimeout)
 	defer cancel()
-	resp, err := s.peers.peerDo(ctx, http.MethodGet, node.Addr+"/v1/jobs/"+wireJobID, nil)
-	if err != nil {
-		return api.JobStatus{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return api.JobStatus{}, false
-	}
-	var js api.JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&js); err != nil {
-		return api.JobStatus{}, false
-	}
-	return js, true
-}
-
-// remoteCancel best-effort cancels a remote job (sweep rollback and sweep
-// cancel paths). Failures are ignored: the owner may already be gone, and a
-// dead node's jobs die with it.
-func (s *Server) remoteCancel(ctx context.Context, nodeID, wireJobID string) {
-	node, found := s.peers.ring.Lookup(nodeID)
-	if !found {
-		return
-	}
-	ctx, cancel := context.WithTimeout(ctx, peerSubmitTimeout)
-	defer cancel()
-	resp, err := s.peers.peerDo(ctx, http.MethodDelete, node.Addr+"/v1/jobs/"+wireJobID, nil)
-	if err != nil {
-		return
-	}
-	resp.Body.Close()
+	js, err := call(c, ctx, wireJobID)
+	return js, err == nil
 }

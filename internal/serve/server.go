@@ -125,9 +125,11 @@ type Server struct {
 	// and fill it together while it is in flight (the sweep fast path).
 	exec *report.Executor
 
-	// Sweep registry: a sweep is immutable after registration (its point
-	// list and job ids are fixed at submit); live point status is read from
-	// the queue on demand, so sweepMu only guards the map itself.
+	// Sweep registry: a sweep's point list and configs are fixed at
+	// submit, but a point's job is not — adoption moves a dead owner's
+	// point onto a local job (see pollRemote), under the sweep's own lock.
+	// Live local status is read from the queue on demand, so sweepMu only
+	// guards the map itself.
 	sweepMu   sync.Mutex
 	sweeps    map[string]*sweepRec
 	nextSweep uint64
@@ -216,10 +218,7 @@ type canonicalConfig struct {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.SubmitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, api.CodeInvalidRequest, "invalid request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if !report.Known(req.Experiment) {
@@ -243,65 +242,147 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// requests without a scheme normalize exactly as they always have (same
 	// content-address), and equivalent scheme spellings — omitted vs explicit
 	// default, options formatting — collapse to one cache entry.
-	p, err := report.Params{
-		Cycles: req.Cycles, Warmup: req.Warmup, Trials: req.Trials,
-		Seed: req.Seed, CSV: req.CSV,
-		Scheme: req.Scheme, SchemeOptions: string(req.SchemeOptions),
-	}.NormalizedFor(req.Experiment)
+	p, err := requestParams(req).NormalizedFor(req.Experiment)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, api.CodeUnknownScheme, "%v (GET /v1/schemes lists valid schemes)", err)
 		return
 	}
-	cc := canonicalConfig{Experiment: req.Experiment, Params: p}
-	key, err := resultcache.Key(cc)
+	pt, err := newPoint(req.Experiment, p)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, api.CodeInternal, "hashing config: %v", err)
+		httpError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
 		return
 	}
-
-	// Fast path: already computed — no job needed. In a fleet this checks
-	// memory, local disk, and the shared blob tier.
-	if _, ok := s.cache.Get(key); ok {
-		writeJSON(w, http.StatusOK, api.SubmitResponse{Status: api.StatusDone, ResultHash: key, Cached: true})
-		return
-	}
-
-	// Cluster routing: a submission whose content address is owned by
-	// another replica is forwarded there, so identical configs submitted
-	// anywhere coalesce on one node's singleflight. Relayed requests stay
-	// local (one-hop bound), and an owner that is unreachable, saturated or
-	// draining falls through to local execution — determinism makes the
-	// duplicate compute safe.
-	if owner, local := s.owner(key); !local && !relayed(r) {
-		if resp, ok := s.remoteSubmit(r.Context(), owner, req); ok {
-			code := http.StatusAccepted
-			if resp.Cached {
-				code = http.StatusOK
-			}
-			w.Header().Set(servedByHeader, owner.ID)
-			writeJSON(w, code, resp)
-			return
-		}
-	}
-
-	id, err := s.queue.SubmitWith(s.pointTask(req.Experiment, p, key, false), jobqueue.SubmitOptions{
+	a, err := s.admit(r.Context(), pt, jobqueue.SubmitOptions{
 		Submitter: req.Submitter,
 		Origin:    r.Header.Get(relayHeader),
 		Class:     priorityClass(req.Priority, jobqueue.ClassInteractive),
 		Timeout:   s.effectiveTimeout(req.TimeoutSeconds),
-	})
-	switch {
-	case errors.Is(err, jobqueue.ErrFull):
-		s.reject429(w, req.Experiment)
-		return
-	case errors.Is(err, jobqueue.ErrClosed):
-		httpError(w, http.StatusServiceUnavailable, api.CodeDraining, "server is draining")
-		return
-	case err != nil:
-		httpError(w, http.StatusInternalServerError, api.CodeInternal, "submit: %v", err)
+	}, req.TimeoutSeconds, !relayed(r))
+	if err != nil {
+		s.admitFailed(w, err, req.Experiment)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, api.SubmitResponse{JobID: s.wireID(id), Status: api.StatusQueued, ResultHash: key})
+	code := http.StatusAccepted
+	if a.resp.Cached {
+		code = http.StatusOK
+	}
+	if a.node != "" {
+		w.Header().Set(servedByHeader, a.node)
+	}
+	writeJSON(w, code, a.resp)
+}
+
+// decodeBody decodes a JSON request body of at most 1 MiB, rejecting
+// unknown fields; false means a 400 has been written.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		httpError(w, http.StatusBadRequest, api.CodeInvalidRequest, "invalid request body: %v", err)
+		return false
+	}
+	return true
+}
+
+// requestParams is a request's experiment knobs, before normalization.
+func requestParams(req api.SubmitRequest) report.Params {
+	return report.Params{
+		Cycles: req.Cycles, Warmup: req.Warmup, Trials: req.Trials,
+		Seed: req.Seed, CSV: req.CSV,
+		Scheme: req.Scheme, SchemeOptions: string(req.SchemeOptions),
+	}
+}
+
+// wireParams is a normalized identity's form inside results and sweep
+// points.
+func wireParams(p report.Params) api.Params {
+	return api.Params{
+		Cycles: p.Cycles, Warmup: p.Warmup, Trials: p.Trials, Seed: p.Seed, CSV: p.CSV,
+		Scheme: p.Scheme, SchemeOptions: p.SchemeOptions,
+	}
+}
+
+// point is one normalized submission: the experiment, its canonical params
+// and the content address they hash to.
+type point struct {
+	experiment string
+	params     report.Params
+	key        string
+}
+
+func newPoint(experiment string, p report.Params) (point, error) {
+	key, err := resultcache.Key(canonicalConfig{Experiment: experiment, Params: p})
+	if err != nil {
+		return point{}, fmt.Errorf("hashing config: %w", err)
+	}
+	return point{experiment, p, key}, nil
+}
+
+// admission is admit's one outcome. resp is the submission's wire answer:
+// a cache hit, or the job computing the point. node names the peer that
+// answered ("" = this replica), and local is the local job's id ("" when
+// cached or on a peer).
+type admission struct {
+	resp  api.SubmitResponse
+	node  string
+	local string
+}
+
+// admit is the daemon's one admission step, shared by single submissions,
+// sweep points and adopted sweep points. A point already in the cache needs
+// no job — in a fleet that checks memory, local disk and the shared blob
+// tier. With forward set, a point whose content address another replica
+// owns is submitted there, so identical configs submitted anywhere coalesce
+// on one node's singleflight; timeoutSeconds is passed on for the owner to
+// resolve against its own ceiling. An owner that is unreachable, saturated
+// or draining falls through to a local job under o — determinism makes the
+// duplicate compute safe. The only errors are the local queue's.
+func (s *Server) admit(ctx context.Context, pt point, o jobqueue.SubmitOptions, timeoutSeconds float64, forward bool) (admission, error) {
+	if _, ok := s.cache.Get(pt.key); ok {
+		return admission{resp: api.SubmitResponse{Status: api.StatusDone, ResultHash: pt.key, Cached: true}}, nil
+	}
+	if owner, local := s.owner(pt.key); forward && !local {
+		fctx, cancel := context.WithTimeout(ctx, peerSubmitTimeout)
+		resp, err := s.peers.clients[owner.ID].Submit(fctx, api.SubmitRequest{
+			Experiment: pt.experiment,
+			Cycles:     pt.params.Cycles, Warmup: pt.params.Warmup,
+			Trials: pt.params.Trials, Seed: pt.params.Seed, CSV: pt.params.CSV,
+			Scheme:         pt.params.Scheme,
+			SchemeOptions:  json.RawMessage(pt.params.SchemeOptions),
+			TimeoutSeconds: timeoutSeconds,
+			// Spelled out: over there a sweep point is a single submission,
+			// whose endpoint default is interactive.
+			Priority:  o.Class.String(),
+			Submitter: o.Submitter,
+		})
+		cancel()
+		if err == nil {
+			s.metrics.peerForwarded.Add(1)
+			return admission{resp: resp, node: owner.ID}, nil
+		}
+		s.metrics.peerForwardFallback.Add(1)
+	}
+	id, err := s.queue.SubmitWith(s.pointTask(pt, o.Group != ""), o)
+	if err != nil {
+		return admission{}, err
+	}
+	return admission{resp: api.SubmitResponse{JobID: s.wireID(id), Status: api.StatusQueued, ResultHash: pt.key}, local: id}, nil
+}
+
+// admitFailed answers a submission that could not be admitted. A full
+// queue is backpressure, not failure: 429 with a Retry-After hint. A closed
+// one is draining: 503. Anything else is internal.
+func (s *Server) admitFailed(w http.ResponseWriter, err error, experiment string) {
+	switch {
+	case errors.Is(err, jobqueue.ErrFull):
+		s.metrics.rejectedFull.Add(1)
+		w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterFor(experiment)))
+		httpError(w, http.StatusTooManyRequests, api.CodeQueueFull, "queue full, retry later")
+	case errors.Is(err, jobqueue.ErrClosed):
+		httpError(w, http.StatusServiceUnavailable, api.CodeDraining, "server is draining")
+	default:
+		httpError(w, http.StatusInternalServerError, api.CodeInternal, "%v", err)
+	}
 }
 
 // priorityClass maps a wire priority to its scheduling class; the empty
@@ -320,10 +401,10 @@ func priorityClass(p string, def jobqueue.Class) jobqueue.Class {
 	}
 }
 
-// pointTask builds the queue task that computes one (experiment, params)
-// result into the cache under key. sweepPoint tags the sweep-point compute
-// counter on top of the shared latency histogram.
-func (s *Server) pointTask(experiment string, p report.Params, key string, sweepPoint bool) jobqueue.Task {
+// pointTask builds the queue task that computes one point's result into
+// the cache under its key. sweepPoint tags the sweep-point compute counter
+// on top of the shared latency histogram.
+func (s *Server) pointTask(pt point, sweepPoint bool) jobqueue.Task {
 	return func(ctx context.Context) (any, error) {
 		start := time.Now()
 		getOrCompute := s.cache.GetOrCompute
@@ -332,28 +413,20 @@ func (s *Server) pointTask(experiment string, p report.Params, key string, sweep
 			// cannot finish until this job returns: compute, never wait.
 			getOrCompute = s.cache.GetOrComputeNoWait
 		}
-		_, hit, err := getOrCompute(ctx, key, func(ctx context.Context) ([]byte, error) {
-			return s.compute(ctx, key, experiment, p)
+		_, hit, err := getOrCompute(ctx, pt.key, func(ctx context.Context) ([]byte, error) {
+			return s.compute(ctx, pt)
 		})
 		if err != nil {
 			return nil, err
 		}
 		if !hit {
-			s.metrics.observe(experiment, float64(time.Since(start).Nanoseconds())/1e6)
+			s.metrics.observe(pt.experiment, float64(time.Since(start).Nanoseconds())/1e6)
 			if sweepPoint {
 				s.metrics.sweepPointsComputed.Add(1)
 			}
 		}
-		return key, nil
+		return pt.key, nil
 	}
-}
-
-// reject429 answers a saturated-queue submission: backpressure, not
-// failure — the client should retry after the hinted delay.
-func (s *Server) reject429(w http.ResponseWriter, experiment string) {
-	s.metrics.rejectedFull.Add(1)
-	w.Header().Set("Retry-After", fmt.Sprint(s.retryAfterFor(experiment)))
-	httpError(w, http.StatusTooManyRequests, api.CodeQueueFull, "queue full, retry later")
 }
 
 // retryAfterFor derives the Retry-After hint in whole seconds from observed
@@ -402,9 +475,10 @@ func (s *Server) effectiveTimeout(seconds float64) time.Duration {
 // worker reuse — or help fill — each other's evaluation matrices;
 // report.Executor guarantees the rendered bytes are identical to a
 // standalone Runner's.
-func (s *Server) compute(ctx context.Context, key, experiment string, p report.Params) ([]byte, error) {
+func (s *Server) compute(ctx context.Context, pt point) ([]byte, error) {
+	p := pt.params
 	p.Workers = s.opts.Workers
-	rep, err := s.exec.Run(ctx, experiment, p)
+	rep, err := s.exec.Run(ctx, pt.experiment, p)
 	if err != nil {
 		return nil, err
 	}
@@ -415,13 +489,10 @@ func (s *Server) compute(ctx context.Context, key, experiment string, p report.P
 		}
 	}
 	doc := api.Result{
-		Hash:       key,
-		Experiment: experiment,
-		Params: api.Params{
-			Cycles: p.Cycles, Warmup: p.Warmup, Trials: p.Trials, Seed: p.Seed, CSV: p.CSV,
-			Scheme: p.Scheme, SchemeOptions: p.SchemeOptions,
-		},
-		Report: api.Report{Experiment: rep.Experiment, Title: rep.Title, Text: rep.Text, Data: data},
+		Hash:       pt.key,
+		Experiment: pt.experiment,
+		Params:     wireParams(pt.params),
+		Report:     api.Report{Experiment: rep.Experiment, Title: rep.Title, Text: rep.Text, Data: data},
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"eccparity/internal/jobqueue"
-	"eccparity/internal/resultcache"
 	"eccparity/internal/sim"
 	"eccparity/internal/sim/report"
 	"eccparity/pkg/api"
@@ -36,32 +35,32 @@ const maxSweepWait = 60 * time.Second
 // peers while a wait/watch request holds the connection.
 const remotePollInterval = 200 * time.Millisecond
 
-// sweepPointRec is one expanded point's record: its config, its content
-// address, and — unless it was served from cache at submission — the job
-// computing it. In a fleet a point may execute on its ring owner instead:
-// node/remoteJob/remote then track the remote job, and an owner that stops
-// answering gets the point adopted (resubmitted locally), after which the
-// point looks like any local one.
+// sweepPointRec is one expanded point's record: the point and — unless it
+// was served from cache at submission — the job computing it. In a fleet a
+// point may execute on its ring owner instead: node/remoteJob/remote then
+// track the remote job, and an owner that stops answering gets the point
+// adopted (admitted again here), after which the point looks like any local
+// one.
 type sweepPointRec struct {
-	experiment string
-	params     report.Params
-	hash       string
-	jobID      string // local job; "" = cache hit at submit, or remote
+	point
+	jobID string // local job; "" = cache hit at submit, or remote
 
 	// Remote execution state (fleet sweeps only), guarded by sweepRec.mu.
 	node      string        // replica executing the point ("" = local)
 	remoteJob string        // the point's wire job id on that replica
 	remote    api.JobStatus // last polled remote status
-	adopting  bool          // an adoption submit is in flight
+	adopting  bool          // an adoption is in flight
 }
 
-// sweepRec is the aggregate object behind /v1/sweeps/{id}. The point list
-// and each point's config are fixed at registration; mu guards the remote
-// fields, which pollRemote rewrites as owners answer or die. Live local
-// status is derived from the queue per read.
+// sweepRec is the aggregate object behind /v1/sweeps/{id}. The point list,
+// each point's config and the submission options are fixed at
+// registration; mu guards the per-point job fields, which pollRemote
+// rewrites as owners answer or die. Live local status is derived from the
+// queue per read.
 type sweepRec struct {
 	id      string
 	created time.Time
+	opts    jobqueue.SubmitOptions // every local point's, adopted ones included
 
 	mu     sync.Mutex
 	points []sweepPointRec
@@ -83,10 +82,7 @@ func (sw *sweepRec) liveRemote() bool {
 
 func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	var req api.SweepRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, api.CodeInvalidRequest, "invalid request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	b := req.Base
@@ -98,11 +94,7 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, api.CodeInvalidRequest, "unknown priority %q (valid: interactive, sweep, batch)", b.Priority)
 		return
 	}
-	points, err := report.ExpandSweep(b.Experiment,
-		report.Params{
-			Cycles: b.Cycles, Warmup: b.Warmup, Trials: b.Trials, Seed: b.Seed, CSV: b.CSV,
-			Scheme: b.Scheme, SchemeOptions: string(b.SchemeOptions),
-		},
+	points, err := report.ExpandSweep(b.Experiment, requestParams(b),
 		report.SweepAxes{
 			Experiments: req.Axes.Experiment,
 			Schemes:     req.Axes.Scheme,
@@ -145,95 +137,49 @@ func (s *Server) handleSweepSubmit(w http.ResponseWriter, r *http.Request) {
 	// interleave behind interactive traffic instead of starving it; an
 	// explicit base priority (e.g. batch) overrides. The submitter carries
 	// through so two tenants' sweeps drain round-robin.
-	subOpts := jobqueue.SubmitOptions{
+	sw := &sweepRec{id: id, created: time.Now(), opts: jobqueue.SubmitOptions{
 		Group:     id,
 		Submitter: b.Submitter,
 		Class:     priorityClass(b.Priority, jobqueue.ClassSweep),
 		Timeout:   s.effectiveTimeout(b.TimeoutSeconds),
-	}
-	// Point priority on the remote wire: a forwarded point is a single
-	// submission over there, whose endpoint default is interactive — spell
-	// out the sweep default so remote points schedule like local ones.
-	pointPriority := b.Priority
-	if pointPriority == "" {
-		pointPriority = api.PrioritySweep
-	}
-	recs := make([]sweepPointRec, 0, len(points))
+	}}
+	sw.points = make([]sweepPointRec, 0, len(points))
 	cached := 0
-	// All-or-nothing admission: roll the partial sweep back — local jobs by
-	// group, remote points by best-effort per-job cancels — so a 429 leaves
-	// nothing of it running anywhere.
-	rollback := func() {
-		s.queue.CancelGroup(id)
-		for i := range recs {
-			if recs[i].node != "" {
-				s.remoteCancel(r.Context(), recs[i].node, recs[i].remoteJob)
-			}
+	for _, xp := range points {
+		pt, err := newPoint(xp.Experiment, xp.Params)
+		var a admission
+		if err == nil {
+			a, err = s.admit(r.Context(), pt, sw.opts, b.TimeoutSeconds, !relayed(r))
 		}
-	}
-	for _, pt := range points {
-		key, err := resultcache.Key(canonicalConfig{Experiment: pt.Experiment, Params: pt.Params})
 		if err != nil {
-			rollback()
-			httpError(w, http.StatusInternalServerError, api.CodeInternal, "hashing config: %v", err)
-			return
-		}
-		rec := sweepPointRec{experiment: pt.Experiment, params: pt.Params, hash: key}
-		if _, ok := s.cache.Get(key); ok {
-			cached++
-			recs = append(recs, rec)
-			continue
-		}
-		// Fleet routing: a point owned by another replica executes there —
-		// identical points from overlapping sweeps coalesce on the owner's
-		// singleflight fleet-wide. An unreachable or saturated owner falls
-		// through to local execution.
-		if owner, local := s.owner(key); !local && !relayed(r) {
-			resp, ok := s.remoteSubmit(r.Context(), owner, api.SubmitRequest{
-				Experiment: pt.Experiment,
-				Cycles:     pt.Params.Cycles, Warmup: pt.Params.Warmup,
-				Trials: pt.Params.Trials, Seed: pt.Params.Seed, CSV: pt.Params.CSV,
-				Scheme:         pt.Params.Scheme,
-				SchemeOptions:  json.RawMessage(pt.Params.SchemeOptions),
-				TimeoutSeconds: b.TimeoutSeconds,
-				Priority:       pointPriority,
-				Submitter:      b.Submitter,
-			})
-			if ok {
-				if resp.Cached {
-					cached++
-				} else {
-					rec.node = owner.ID
-					rec.remoteJob = resp.JobID
-					rec.remote = api.JobStatus{ID: resp.JobID, Status: api.StatusQueued}
+			// All-or-nothing admission: roll the partial sweep back — local
+			// jobs by group, remote points by best-effort per-job cancels —
+			// so a 429 leaves nothing of it running anywhere.
+			s.queue.CancelGroup(id)
+			for _, rec := range sw.points {
+				if rec.node != "" {
+					s.remoteJob(r.Context(), rec.node, rec.remoteJob, (*api.Client).Cancel)
 				}
-				recs = append(recs, rec)
-				continue
 			}
-		}
-		jobID, err := s.queue.SubmitWith(s.pointTask(pt.Experiment, pt.Params, key, true), subOpts)
-		if err != nil {
-			rollback()
-			switch {
-			case errors.Is(err, jobqueue.ErrFull):
-				s.reject429(w, pt.Experiment)
-			case errors.Is(err, jobqueue.ErrClosed):
-				httpError(w, http.StatusServiceUnavailable, api.CodeDraining, "server is draining")
-			default:
-				httpError(w, http.StatusInternalServerError, api.CodeInternal, "submit sweep point: %v", err)
-			}
+			s.admitFailed(w, err, xp.Experiment)
 			return
 		}
-		rec.jobID = jobID
-		recs = append(recs, rec)
+		rec := sweepPointRec{point: pt, jobID: a.local}
+		switch {
+		case a.resp.Cached:
+			cached++
+		case a.node != "":
+			rec.node, rec.remoteJob = a.node, a.resp.JobID
+			rec.remote = api.JobStatus{ID: a.resp.JobID, Status: a.resp.Status}
+		}
+		sw.points = append(sw.points, rec)
 	}
 
-	sw := &sweepRec{id: id, created: time.Now(), points: recs}
 	s.sweepMu.Lock()
 	s.sweeps[id] = sw
 	s.sweepMu.Unlock()
 	s.metrics.sweepsSubmitted.Add(1)
-	s.metrics.sweepPointsExpanded.Add(uint64(len(recs)))
+	s.metrics.sweepPointsExpanded.Add(uint64(len(sw.points)))
 	s.metrics.sweepPointsCached.Add(uint64(cached))
 
 	st := s.sweepStatus(sw)
@@ -263,63 +209,34 @@ func (s *Server) sweepStatus(sw *sweepRec) api.SweepStatus {
 		Progress: api.SweepProgress{Total: len(sw.points)},
 		Points:   make([]api.SweepPoint, 0, len(sw.points)),
 	}
+	p := &st.Progress
 	for i, rec := range sw.points {
-		pt := api.SweepPoint{
-			Index: i, Experiment: rec.experiment, ResultHash: rec.hash,
-			Params: api.Params{
-				Cycles: rec.params.Cycles, Warmup: rec.params.Warmup,
-				Trials: rec.params.Trials, Seed: rec.params.Seed, CSV: rec.params.CSV,
-				Scheme: rec.params.Scheme, SchemeOptions: rec.params.SchemeOptions,
-			},
-		}
+		pt := api.SweepPoint{Index: i, Experiment: rec.experiment, ResultHash: rec.key, Params: wireParams(rec.params)}
 		if rec.node != "" {
-			pt.JobID = rec.remoteJob
-			pt.Status, pt.Error = rec.remote.Status, rec.remote.Error
-			if pt.Status == "" {
-				pt.Status = api.StatusQueued
-			}
-			switch pt.Status {
-			case api.StatusQueued:
-				st.Progress.Queued++
-			case api.StatusRunning:
-				st.Progress.Running++
-			case api.StatusDone:
-				st.Progress.Done++
-			case api.StatusFailed:
-				st.Progress.Failed++
-			case api.StatusCanceled:
-				st.Progress.Canceled++
-			}
-			st.Points = append(st.Points, pt)
-			continue
-		}
-		if rec.jobID == "" {
+			pt.JobID, pt.Status, pt.Error = rec.remoteJob, rec.remote.Status, rec.remote.Error
+		} else if rec.jobID == "" {
 			pt.Status, pt.Cached = api.StatusDone, true
-			st.Progress.Done++
-			st.Progress.Cached++
-		} else if snap, ok := s.queue.Get(rec.jobID); !ok {
+			p.Cached++
+		} else if snap, ok := s.queue.Get(rec.jobID); ok {
+			pt.JobID, pt.Status, pt.Error = s.wireID(rec.jobID), string(snap.Status), snap.Error
+		} else {
 			// Unreachable while jobs are never evicted; stated for safety.
 			pt.Status, pt.Error = api.StatusFailed, "job record missing"
-			st.Progress.Failed++
-		} else {
-			pt.JobID = s.wireID(rec.jobID)
-			pt.Status, pt.Error = string(snap.Status), snap.Error
-			switch snap.Status {
-			case jobqueue.StatusQueued:
-				st.Progress.Queued++
-			case jobqueue.StatusRunning:
-				st.Progress.Running++
-			case jobqueue.StatusDone:
-				st.Progress.Done++
-			case jobqueue.StatusFailed:
-				st.Progress.Failed++
-			case jobqueue.StatusCanceled:
-				st.Progress.Canceled++
-			}
+		}
+		switch pt.Status {
+		case api.StatusQueued:
+			p.Queued++
+		case api.StatusRunning:
+			p.Running++
+		case api.StatusDone:
+			p.Done++
+		case api.StatusFailed:
+			p.Failed++
+		case api.StatusCanceled:
+			p.Canceled++
 		}
 		st.Points = append(st.Points, pt)
 	}
-	p := st.Progress
 	switch {
 	case p.Done+p.Failed+p.Canceled < p.Total:
 		st.Status = api.StatusRunning
@@ -334,10 +251,11 @@ func (s *Server) sweepStatus(sw *sweepRec) api.SweepStatus {
 }
 
 // pollRemote refreshes every live remote point of a sweep and adopts the
-// points whose owner can no longer answer: the point is resubmitted locally
-// into the sweep's group and from then on behaves like any local point.
-// Adoption is idempotent-by-content — if the dead owner actually finished
-// the compute, the local re-run is served from the shared tier or
+// points whose owner can no longer answer: the point goes through
+// admission again here, under the sweep's own submission options and never
+// forwarded, and from then on behaves like any local point. Adoption is
+// idempotent-by-content — if the dead owner actually finished the compute,
+// the result is found in the shared tier (and the point reads done) or
 // recomputed byte-identically, so the worst case is duplicated work.
 func (s *Server) pollRemote(ctx context.Context, sw *sweepRec) {
 	if !s.clustered() {
@@ -357,7 +275,7 @@ func (s *Server) pollRemote(ctx context.Context, sw *sweepRec) {
 	}
 	sw.mu.Unlock()
 	for _, pb := range probes {
-		js, ok := s.remoteJobStatus(ctx, pb.node, pb.job)
+		js, ok := s.remoteJob(ctx, pb.node, pb.job, (*api.Client).Job)
 		sw.mu.Lock()
 		rec := &sw.points[pb.i]
 		if rec.node != pb.node || rec.adopting {
@@ -370,24 +288,23 @@ func (s *Server) pollRemote(ctx context.Context, sw *sweepRec) {
 			continue
 		}
 		rec.adopting = true
-		experiment, params, hash := rec.experiment, rec.params, rec.hash
+		pt := rec.point
 		sw.mu.Unlock()
 
-		jobID, err := s.queue.SubmitWith(s.pointTask(experiment, params, hash, true), jobqueue.SubmitOptions{
-			Group:   sw.id,
-			Class:   jobqueue.ClassSweep,
-			Timeout: s.opts.JobTimeout,
-		})
+		a, err := s.admit(ctx, pt, sw.opts, 0, false)
 		sw.mu.Lock()
-		rec = &sw.points[pb.i]
 		rec.adopting = false
-		if err == nil {
-			rec.node, rec.remoteJob, rec.remote = "", "", api.JobStatus{}
-			rec.jobID = jobID
-			s.metrics.peerAdoptedPoints.Add(1)
-		}
 		// A full or draining queue leaves the point remote; the next poll
 		// retries the owner and, failing that, adoption.
+		if err == nil {
+			s.metrics.peerAdoptedPoints.Add(1)
+			if a.resp.Cached {
+				rec.remote = api.JobStatus{ID: rec.remoteJob, Status: api.StatusDone, ResultHash: pt.key}
+			} else {
+				rec.node, rec.remoteJob, rec.remote = "", "", api.JobStatus{}
+				rec.jobID = a.local
+			}
+		}
 		sw.mu.Unlock()
 	}
 }
@@ -427,13 +344,9 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 		s.handleSweepWatch(w, r, sw, watch)
 		return
 	}
-	terminalCount := func(st api.SweepStatus) int {
-		return st.Progress.Done + st.Progress.Failed + st.Progress.Canceled
-	}
-	st := s.sweepStatus(sw)
 	waitStr := r.URL.Query().Get("wait")
 	if waitStr == "" {
-		writeJSON(w, http.StatusOK, st)
+		writeJSON(w, http.StatusOK, s.sweepStatus(sw))
 		return
 	}
 	wait, err := time.ParseDuration(waitStr)
@@ -441,41 +354,53 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, api.CodeInvalidRequest, "wait must be a non-negative duration (e.g. 5s): got %q", waitStr)
 		return
 	}
-	if wait > maxSweepWait {
-		wait = maxSweepWait
+	initial := -1
+	st, ok := s.followSweep(r, sw, wait, func(st api.SweepStatus) bool {
+		n := st.Progress.Done + st.Progress.Failed + st.Progress.Canceled
+		if initial < 0 {
+			initial = n
+		}
+		return !api.Terminal(st.Status) && n == initial
+	})
+	if ok {
+		writeJSON(w, http.StatusOK, st)
 	}
-	initial := terminalCount(st)
-	timer := time.NewTimer(wait)
+}
+
+// followSweep is the one wait step of ?wait= and ?watch=. It reads the
+// sweep's status and hands it to more, and while more returns true it
+// blocks until the sweep may have changed, then reads again. It returns the
+// last status read once more returns false or the window (capped at
+// maxSweepWait) elapses; ok=false means the client went away first.
+func (s *Server) followSweep(r *http.Request, sw *sweepRec, window time.Duration, more func(api.SweepStatus) bool) (st api.SweepStatus, ok bool) {
+	timer := time.NewTimer(min(window, maxSweepWait))
 	defer timer.Stop()
-	// Remote completions do not bump the local group channel, so a sweep
-	// with points executing on peers is additionally polled on a ticker.
-	tickCh := (<-chan time.Time)(nil)
+	// Peer-executed points complete without bumping the local group
+	// channel; poll their owners on a ticker while any are live.
+	var tickCh <-chan time.Time
 	if sw.liveRemote() {
 		tick := time.NewTicker(remotePollInterval)
 		defer tick.Stop()
 		tickCh = tick.C
 	}
-	expired := false
-	for !expired && !api.Terminal(st.Status) && terminalCount(st) == initial {
-		// Grab the group channel before re-reading status: a transition
-		// between the read and the wait closes the channel we already hold,
-		// so no completion can slip through unobserved.
+	for {
+		// Grab the group channel before reading status: a transition
+		// between the read and the wait closes the channel already held, so
+		// no completion can slip through unobserved.
 		ch := s.queue.ChangedGroup(sw.id)
-		if st = s.sweepStatus(sw); api.Terminal(st.Status) || terminalCount(st) != initial {
-			break
+		if st = s.sweepStatus(sw); !more(st) {
+			return st, true
 		}
 		select {
 		case <-ch:
 		case <-tickCh:
 			s.pollRemote(r.Context(), sw)
 		case <-timer.C:
-			expired = true
+			return st, true
 		case <-r.Context().Done():
-			return
+			return st, false
 		}
-		st = s.sweepStatus(sw)
 	}
-	writeJSON(w, http.StatusOK, st)
 }
 
 // handleSweepWatch streams per-point completions as chunked NDJSON: one
@@ -485,63 +410,32 @@ func (s *Server) handleSweepGet(w http.ResponseWriter, r *http.Request) {
 // Each line is flushed immediately, so a client sees its first results in
 // milliseconds even when the grid takes minutes.
 func (s *Server) handleSweepWatch(w http.ResponseWriter, r *http.Request, sw *sweepRec, watch time.Duration) {
-	if watch > maxSweepWait {
-		watch = maxSweepWait
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	emit := func(ev api.SweepEvent) bool {
-		if err := enc.Encode(ev); err != nil {
-			return false
-		}
-		if flusher != nil {
+	var werr error
+	emit := func(ev api.SweepEvent) {
+		if werr = enc.Encode(ev); werr == nil && flusher != nil {
 			flusher.Flush()
 		}
-		return true
-	}
-
-	timer := time.NewTimer(watch)
-	defer timer.Stop()
-	// Peer-executed points complete without bumping the local group
-	// channel; poll their owners on a ticker while any are live.
-	tickCh := (<-chan time.Time)(nil)
-	if sw.liveRemote() {
-		tick := time.NewTicker(remotePollInterval)
-		defer tick.Stop()
-		tickCh = tick.C
 	}
 	sent := make([]bool, len(sw.points))
-	for {
-		// Grab the group channel before scanning so no completion between
-		// the scan and the wait is lost.
-		ch := s.queue.ChangedGroup(sw.id)
-		st := s.sweepStatus(sw)
+	st, ok := s.followSweep(r, sw, watch, func(st api.SweepStatus) bool {
 		for i := range st.Points {
 			if sent[i] || !api.Terminal(st.Points[i].Status) {
 				continue
 			}
 			sent[i] = true
-			if !emit(api.SweepEvent{Type: "point", Point: &st.Points[i]}) {
-				return
+			if emit(api.SweepEvent{Type: "point", Point: &st.Points[i]}); werr != nil {
+				return false
 			}
 		}
-		if api.Terminal(st.Status) {
-			emit(api.SweepEvent{Type: "sweep", Sweep: &st})
-			return
-		}
-		select {
-		case <-ch:
-		case <-tickCh:
-			s.pollRemote(r.Context(), sw)
-		case <-timer.C:
-			emit(api.SweepEvent{Type: "sweep", Sweep: &st})
-			return
-		case <-r.Context().Done():
-			return
-		}
+		return !api.Terminal(st.Status)
+	})
+	if ok && werr == nil {
+		emit(api.SweepEvent{Type: "sweep", Sweep: &st})
 	}
 }
 
@@ -564,8 +458,11 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 		s.metrics.sweepCancels.Add(1)
 		s.metrics.cancelRequests.Add(uint64(n))
 	}
-	// Points executing on peers are canceled owner-side, best-effort, then
-	// polled once so the response reflects what the owners acknowledged.
+	// Points executing on peers are canceled owner-side, best-effort, and
+	// take the status the owner answers with. No adoption: a cancel must
+	// never resurrect a dead owner's point as a fresh local job. An
+	// unreachable owner's jobs die with it, which under a cancel is the
+	// desired end state.
 	sw.mu.Lock()
 	type rc struct{ node, job string }
 	var remotes []rc
@@ -577,11 +474,7 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	sw.mu.Unlock()
 	for _, x := range remotes {
-		s.remoteCancel(r.Context(), x.node, x.job)
-		// Refresh without adoption — a cancel must never resurrect a dead
-		// owner's point as a fresh local job. An unreachable owner's jobs
-		// die with it, which under a cancel is the desired end state.
-		js, ok := s.remoteJobStatus(r.Context(), x.node, x.job)
+		js, ok := s.remoteJob(r.Context(), x.node, x.job, (*api.Client).Cancel)
 		sw.mu.Lock()
 		for i := range sw.points {
 			rec := &sw.points[i]
